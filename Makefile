@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-josim bench-pulse bench-pulse-batched bench-cpu bench-cpu-batched bench-service serve experiments examples quick all lint-netlists lvs
+.PHONY: install test bench bench-josim bench-pulse bench-pulse-batched bench-cpu bench-service serve experiments examples quick all lint-netlists lvs
 
 install:
 	pip install -e .
@@ -47,21 +47,10 @@ bench-pulse-batched:
 		--benchmark-json=BENCH_pulse.json
 
 # Tracks the compiled op-tape CPU tier against the reference pipeline
-# on the multi-design Figure 14 sweep (trace cache warm), and the
-# batched design-lane tier against sequential compiled replay: writes
-# BENCH_cpu.json, including the enforced >= 3x speedups.
+# on the multi-design Figure 14 sweep (trace cache warm): writes
+# BENCH_cpu.json, including the enforced >= 3x speedup.
 bench-cpu:
-	PYTHONPATH=src pytest benchmarks/bench_cpu.py \
-		benchmarks/bench_cpu_batched.py --benchmark-only \
-		--benchmark-json=BENCH_cpu.json
-
-# Tracks the batched (design-lane) CPU tier against sequential compiled
-# replay on a 32-lane mixed-config design sweep: writes BENCH_cpu.json,
-# including the enforced >= 3x lanes/sec speedup
-# (REPRO_BENCH_CPU_LANES_MIN_SPEEDUP relaxes the floor for noisy
-# runners).
-bench-cpu-batched:
-	PYTHONPATH=src pytest benchmarks/bench_cpu_batched.py --benchmark-only \
+	PYTHONPATH=src pytest benchmarks/bench_cpu.py --benchmark-only \
 		--benchmark-json=BENCH_cpu.json
 
 # Tracks the coalescing simulation service against naive per-request

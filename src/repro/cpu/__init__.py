@@ -15,10 +15,9 @@ stages deep and each register file port operation spans two gate cycles
   for the compiled tier),
 * :class:`OpTape` / :mod:`repro.cpu.compiled` - the retirement stream
   lowered once into packed arrays and replayed per design with
-  precomputed timing tables (``REPRO_CPU_COMPILED`` selects the tier),
+  precomputed timing tables,
 * :class:`Lane` / :mod:`repro.cpu.batched` - one tape replayed across a
-  whole design set at once, lane-major (``REPRO_CPU_LANES`` selects the
-  lane tier / per-call lane cap),
+  whole design set, one compiled replay per lane in lane order,
 * :class:`TraceCache` - on-disk tape store keyed by program digest, so
   reruns of the CPI sweeps skip the functional pass,
 * :class:`CpuSimulator` - program in, :class:`CpiReport` out.
@@ -29,13 +28,7 @@ from repro.cpu.rf_model import RF_DESIGN_NAMES, RFTimingModel
 from repro.cpu.pipeline import GateLevelPipeline, StallBreakdown
 from repro.cpu.optape import OpTape, TraceCache, tape_for_program
 from repro.cpu.compiled import replay, replay_tape
-from repro.cpu.batched import (
-    LANES_ENV_VAR,
-    Lane,
-    lanes_for_designs,
-    replay_lanes,
-    resolve_lanes_tier,
-)
+from repro.cpu.batched import Lane, lanes_for_designs, replay_lanes
 from repro.cpu.stats import CpiReport
 from repro.cpu.simulator import CpuSimulator, simulate_program
 
@@ -45,7 +38,6 @@ __all__ = [
     "CpuSimulator",
     "GateLevelPipeline",
     "Lane",
-    "LANES_ENV_VAR",
     "OpTape",
     "RFTimingModel",
     "RF_DESIGN_NAMES",
@@ -55,7 +47,6 @@ __all__ = [
     "replay",
     "replay_lanes",
     "replay_tape",
-    "resolve_lanes_tier",
     "simulate_program",
     "tape_for_program",
 ]

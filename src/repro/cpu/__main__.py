@@ -34,8 +34,9 @@ def main(argv=None) -> int:
                         help="workload problem-size scale")
     parser.add_argument("--max-instructions", type=int, default=2_000_000)
     parser.add_argument("--tier", choices=("compiled", "reference"),
-                        help="replay tier (default: REPRO_CPU_COMPILED, "
-                             "compiled when unset)")
+                        default="compiled",
+                        help="replay tier (default: compiled; reference "
+                             "is the oracle pipeline)")
     parser.add_argument("--waterfall", action="store_true",
                         help="print the first instructions' pipeline "
                              "waterfall (needs --design)")

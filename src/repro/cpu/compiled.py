@@ -23,14 +23,12 @@ counters, and the interaction order with a stateful ``memory_model`` -
 for every design; ``tests/cpu/test_compiled.py`` enforces this across
 the Figure 14 suite and randomized programs.
 
-Tier selection: the ``REPRO_CPU_COMPILED`` environment variable (on by
-default; ``0``/``off``/``false`` falls back to the reference pipeline),
-overridable per call with ``tier="compiled"`` / ``tier="reference"``.
+Tier selection: :func:`replay` takes ``tier="compiled"`` (the default)
+or ``tier="reference"`` (the oracle).
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Any, List, Optional, Tuple
 
@@ -47,20 +45,6 @@ from repro.cpu.optape import (
 from repro.cpu.pipeline import GateLevelPipeline, PipelineResult, StallBreakdown
 from repro.cpu.rf_model import RFTimingModel
 from repro.errors import ConfigError, ExecutionError
-
-#: Environment variable selecting the replay tier (default: compiled).
-COMPILED_ENV_VAR = "REPRO_CPU_COMPILED"
-
-_OFF_VALUES = ("0", "off", "false", "no")
-
-
-def compiled_enabled(default: bool = True) -> bool:
-    """Whether the compiled tier is active (``REPRO_CPU_COMPILED``)."""
-    raw = os.environ.get(COMPILED_ENV_VAR)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _OFF_VALUES
-
 
 #: Entries kept by the ``design_tables`` memo.  A Figure 14-scale sweep
 #: touches (workloads x designs) ~ a few dozen pairs; the cap only
@@ -82,10 +66,10 @@ def design_tables(tape: OpTape,
     numbers are the *entire* per-design contract of the replay: a new
     design only has to answer them per signature.
 
-    Repeated replays of one tape against one design - every lane batch,
-    every warm benchmark rep - hit a small LRU keyed on the tape's
-    content fingerprint plus the (hashable, frozen) timing model, so
-    only the first replay pays the per-signature model calls.  Callers
+    Repeated replays of one tape against one design - every design-set
+    dispatch, every warm benchmark rep - hit a small LRU keyed on the
+    tape's content fingerprint plus the (hashable, frozen) timing model,
+    so only the first replay pays the per-signature model calls.  Callers
     must treat the returned arrays as read-only.
     """
     key = (tape.content_fingerprint(), rf)
@@ -261,22 +245,12 @@ def replay_tape_reference(tape: OpTape, rf: RFTimingModel,
 def replay(tape: OpTape, rf: RFTimingModel,
            config: Optional[CoreConfig] = None,
            memory_model: Optional[Any] = None,
-           tier: Optional[str] = None) -> PipelineResult:
-    """Replay a tape on the active tier.
-
-    ``tier`` forces ``"compiled"`` or ``"reference"``; ``None`` follows
-    ``REPRO_CPU_COMPILED`` (compiled by default).
-    """
-    if tier is None:
-        use_compiled = compiled_enabled()
-    elif tier == "compiled":
-        use_compiled = True
-    elif tier == "reference":
-        use_compiled = False
-    else:
-        raise ConfigError(
-            f"unknown replay tier {tier!r}; expected 'compiled', "
-            "'reference' or None")
-    if use_compiled:
+           tier: str = "compiled") -> PipelineResult:
+    """Replay a tape on ``tier``: ``"compiled"`` or ``"reference"``."""
+    if tier == "compiled":
         return replay_tape(tape, rf, config, memory_model=memory_model)
-    return replay_tape_reference(tape, rf, config, memory_model=memory_model)
+    if tier == "reference":
+        return replay_tape_reference(tape, rf, config,
+                                     memory_model=memory_model)
+    raise ConfigError(
+        f"unknown replay tier {tier!r}; expected 'compiled' or 'reference'")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence
 
 from repro.cpu.batched import lanes_for_designs, replay_lanes
-from repro.cpu.compiled import compiled_enabled, replay
+from repro.cpu.compiled import replay
 from repro.cpu.config import CoreConfig
 from repro.cpu.optape import OpTape, TraceCacheLike, tape_for_program
 from repro.cpu.pipeline import GateLevelPipeline
@@ -26,9 +26,8 @@ class CpuSimulator:
     does not depend on timing.)
 
     ``run_program``/``run_trace`` always use the reference pipeline (the
-    equivalence oracle); ``run_tape`` and :func:`simulate_program` go
-    through the active replay tier (compiled unless ``REPRO_CPU_COMPILED``
-    turns it off).
+    equivalence oracle); ``run_tape`` and :func:`simulate_program` replay
+    on the compiled tier unless ``tier="reference"`` is passed.
     """
 
     def __init__(self, design: str = "ndro_rf",
@@ -82,8 +81,8 @@ class CpuSimulator:
         return CpiReport.from_result(workload_name, pipeline.result())
 
     def run_tape(self, tape: OpTape, workload_name: str = "tape",
-                 tier: Optional[str] = None) -> CpiReport:
-        """Replay a lowered op tape on the active tier."""
+                 tier: str = "compiled") -> CpiReport:
+        """Replay a lowered op tape on ``tier``."""
         result = replay(tape, self.rf, self.config, tier=tier)
         return CpiReport.from_result(workload_name, result,
                                      exit_code=tape.exit_code)
@@ -94,30 +93,27 @@ def simulate_program(program: Program, designs: Sequence[str] = RF_DESIGN_NAMES,
                      config: Optional[CoreConfig] = None,
                      max_instructions: int = 2_000_000,
                      trace_cache: TraceCacheLike = None,
-                     tier: Optional[str] = None) -> Dict[str, CpiReport]:
+                     tier: str = "compiled") -> Dict[str, CpiReport]:
     """Run one program across several designs, reusing one op tape.
 
     The functional pass is lowered once into an
     :class:`~repro.cpu.optape.OpTape`; the whole design set then replays
-    as **one lane batch** through :func:`repro.cpu.batched.replay_lanes`
-    (``REPRO_CPU_LANES`` selects the lane tier / cap) - only the
-    per-design timing tables change between lanes.  ``trace_cache``
+    as one lane set through :func:`repro.cpu.batched.replay_lanes` - only
+    the per-design timing tables change between lanes.  ``trace_cache``
     (a :class:`~repro.cpu.optape.TraceCache`, a directory path, or
     ``None`` for ``REPRO_CACHE_DIR``) persists the tape, so a rerun - or
     the same sweep over additional designs - skips the functional pass
-    entirely.  ``tier`` forces a tier: ``"batched"`` (one lane batch),
-    ``"compiled"``/``"reference"`` (scalar per-design replay); ``None``
-    follows ``REPRO_CPU_LANES`` and ``REPRO_CPU_COMPILED``.
+    entirely.  ``tier="reference"`` replays each design through the
+    reference pipeline instead (the oracle).
     """
     config = config or CoreConfig()
     tape = tape_for_program(program, max_instructions=max_instructions,
                             num_registers=config.num_registers,
                             cache=trace_cache, workload_name=workload_name)
     reports: Dict[str, CpiReport] = {}
-    if tier == "batched" or (tier is None and compiled_enabled()):
+    if tier == "compiled":
         lanes = lanes_for_designs(designs, config)
-        for design, result in zip(designs,
-                                  replay_lanes(tape, lanes, tier=tier)):
+        for design, result in zip(designs, replay_lanes(tape, lanes)):
             reports[design] = CpiReport.from_result(
                 workload_name, result, exit_code=tape.exit_code)
         return reports

@@ -54,8 +54,7 @@ def run_sweep(tier: Optional[str] = None,
 
     The netlist is built once through the compiled-netlist cache; every
     (fault, register, column) trial becomes one stimulus lane, replayed
-    by the batched pulse tier (``tier=None`` honours
-    ``REPRO_PULSE_LANES``; ``tier="compiled"`` forces the sequential
+    by the batched pulse tier (``tier="compiled"`` forces the sequential
     oracle).
     """
     return run_hiperrf_trials(sweep_trials(geometry), geometry, tier=tier)

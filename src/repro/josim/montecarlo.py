@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -48,7 +47,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.experiments.parallel import parallel_map, resolve_workers
-from repro.josim.backend import BACKEND_ENV_VAR, available_backends
 from repro.josim.cells import (
     CellHandles,
     RECOMMENDED_J2_BIAS_UA,
@@ -60,7 +58,6 @@ from repro.josim.cells import (
 from repro.josim.elements import BiasCurrent, Inductor, JosephsonJunction
 from repro.josim.solver import (
     BatchedTransientSolver,
-    CHUNK_ENV_VAR,
     TransientResult,
     TransientSolver,
 )
@@ -128,7 +125,6 @@ class YieldConfig:
     timestep_ps: float = 0.05
     record_every: int = 20
     shard_lanes: int = 2048
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.samples <= 0:
@@ -287,8 +283,7 @@ def _run_shard(task: _ShardTask) -> List[LaneOutcome]:
         [handles.circuit for handles, _, _ in lanes],
         timestep_ps=config.timestep_ps,
         labels=[f"mc lane {i} (scale {scale:g})"
-                for i, scale in enumerate(task.read_scales)],
-        backend=config.backend)
+                for i, scale in enumerate(task.read_scales)])
     outcomes: List[Optional[LaneOutcome]] = [None] * len(lanes)
 
     def reduce(lane: int, result: TransientResult) -> None:
@@ -453,8 +448,7 @@ def verify_against_scalar(config: Optional[YieldConfig] = None,
         ))
     solver = BatchedTransientSolver(
         [batched[0].circuit for batched, _ in built],
-        timestep_ps=config.timestep_ps,
-        backend=config.backend)
+        timestep_ps=config.timestep_ps)
     batched_results = solver.run([batched[2] for batched, _ in built])
     worst = 0.0
     for (_, scalar_lane), batched_result in zip(built, batched_results):
@@ -543,21 +537,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--reads", type=int, default=4)
     parser.add_argument("--shard-lanes", type=int, default=2048,
                         help="lanes per worker dispatch unit")
-    parser.add_argument("--chunk", type=int, default=None,
-                        help=f"override {CHUNK_ENV_VAR} (solver chunk lanes)")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--backend", type=str, default=None,
-                        choices=available_backends(),
-                        help=f"array backend (default: ${BACKEND_ENV_VAR} "
-                             "or numpy)")
     parser.add_argument("--verify", type=int, default=0, metavar="LANES",
                         help="also replay LANES lanes through the scalar "
                              "oracle and report max |dphi|")
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
-    if args.chunk is not None:
-        os.environ[CHUNK_ENV_VAR] = str(args.chunk)
     try:
         config = YieldConfig(
             samples=args.samples,
@@ -567,8 +553,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             read_scales=_parse_scales(args.scales),
             writes=args.writes,
             reads=args.reads,
-            shard_lanes=args.shard_lanes,
-            backend=args.backend)
+            shard_lanes=args.shard_lanes)
         report = run_yield_analysis(config, workers=args.workers)
         payload = _report_dict(report)
         if args.verify > 0:

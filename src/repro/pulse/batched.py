@@ -48,7 +48,6 @@ this and transparently drops to the sequential compiled replay.
 from __future__ import annotations
 
 import copy
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -91,8 +90,7 @@ _NEG_INF = float("-inf")
 _DEFAULT_MAX_EVENTS = 10_000_000
 
 #: Waves smaller than this are delivered by the scalar in-order path -
-#: below it the NumPy call overhead costs more than it saves.  The env
-#: override exists so the test suite can force either path.
+#: below it the NumPy call overhead costs more than it saves.
 _DEFAULT_MIN_VECTOR_WAVE = 8
 
 #: Kinds with a vectorized kernel; the rest (TFF, clocked gates) are
@@ -359,43 +357,26 @@ def batched_supported(compiled: CompiledEngine) -> bool:
 
 
 def resolve_lanes_tier(compiled: CompiledEngine,
-                       tier: Optional[str] = None
-                       ) -> Tuple[str, Optional[int]]:
-    """Resolve ``(tier, lane_cap)`` from the argument or env.
+                       tier: Optional[str] = None) -> str:
+    """Resolve the lane tier: ``"batched"`` or ``"compiled"``.
 
-    ``REPRO_PULSE_LANES`` accepts ``off``/``0``/``compiled`` (sequential
-    compiled replay), ``on``/``batched``/empty (batched), or a positive
-    integer N (batched, at most N lanes per wheel - larger batches are
-    chunked).  An explicit ``tier="batched"`` on an unsupported netlist
-    raises; the automatic paths fall back to sequential replay.
+    ``None`` picks batched when the netlist supports it and sequential
+    compiled replay otherwise.  An explicit ``tier="batched"`` on an
+    unsupported netlist raises.
     """
     if tier == "compiled":
-        return "compiled", None
+        return "compiled"
     if tier == "batched":
         if not batched_supported(compiled):
             raise SimulationError(
                 "batched pulse tier: netlist contains fallback components "
                 "(unrecognised class or patched on_pulse); use the "
                 "compiled tier")
-        return "batched", None
+        return "batched"
     if tier is not None:
         raise ConfigError(f"unknown pulse lane tier {tier!r} "
                           "(expected 'batched' or 'compiled')")
-    raw = os.environ.get("REPRO_PULSE_LANES", "").strip().lower()
-    cap: Optional[int] = None
-    if raw in ("off", "0", "compiled", "sequential"):
-        return "compiled", None
-    if raw not in ("", "on", "batched", "auto"):
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_PULSE_LANES: unrecognised value {raw!r}") from None
-        if cap <= 0:
-            return "compiled", None
-    if not batched_supported(compiled):
-        return "compiled", None
-    return "batched", cap
+    return "batched" if batched_supported(compiled) else "compiled"
 
 
 # -- public entry point -------------------------------------------------
@@ -416,17 +397,13 @@ def run_lanes(compiled: CompiledEngine, stimuli: Sequence[LaneStimulus],
         raise ConfigError(f"unknown on_error mode {on_error!r}")
     for lane, stimulus in enumerate(stimuli):
         _validate_segments(lane, stimulus.segments)
-    chosen, cap = resolve_lanes_tier(compiled, tier)
     base = compiled.snapshot()
-    if chosen == "compiled":
+    if resolve_lanes_tier(compiled, tier) == "compiled":
         outcomes = _run_lanes_sequential(compiled, stimuli, base, trace)
+    elif stimuli:
+        outcomes = _BatchedRun(compiled, stimuli, base, trace).execute()
     else:
         outcomes = []
-        step = cap if cap else max(1, len(stimuli))
-        for start in range(0, len(stimuli), step):
-            chunk = stimuli[start:start + step]
-            run = _BatchedRun(compiled, chunk, start, base, trace)
-            outcomes.extend(run.execute())
     if on_error == "raise":
         for outcome in outcomes:
             if outcome.error is not None:
@@ -536,18 +513,15 @@ class _WaveDesc:
 
 
 class _BatchedRun:
-    """One wheel shared by a chunk of lanes over one compiled netlist."""
+    """One wheel shared by every lane over one compiled netlist."""
 
     def __init__(self, compiled: CompiledEngine,
-                 stimuli: Sequence[LaneStimulus], lane_base: int,
+                 stimuli: Sequence[LaneStimulus],
                  base: PulseSnapshot, trace: bool) -> None:
         self.compiled = compiled
         self.static = _lane_static(compiled)
         self.strict = compiled.engine.strict_timing
-        self.lane_base = lane_base
         self.lanes = len(stimuli)
-        self.min_vector = int(os.environ.get(
-            "REPRO_PULSE_WAVE_MIN", _DEFAULT_MIN_VECTOR_WAVE))
         n = self.static.n
         lanes = self.lanes
         self.i0 = np.tile(np.asarray(base.i0, dtype=np.int64), (lanes, 1))
@@ -863,7 +837,7 @@ class _BatchedRun:
         size = lanes.size
         slack = self.budget_slack
         self.budget_slack = slack - size
-        if size < self.min_vector:
+        if size < _DEFAULT_MIN_VECTOR_WAVE:
             self._flush_delivered()
             return self._wave_scalar(t, lanes, packed)
         # Sweeps replay the same stimulus schedule across lanes, so wave
@@ -1925,7 +1899,7 @@ class _BatchedRun:
                 for time_ps, pk in pending_raw)
             probes = {ci: times for ci, times in self.probes[lane].items()}
             outcomes.append(LaneOutcome(
-                lane=self.lane_base + lane, error=error,
+                lane=lane, error=error,
                 delivered=int(self.delivered[lane]), now_ps=now_ps,
                 pending=len(pending_events), pending_events=pending_events,
                 trace=self.traces[lane],

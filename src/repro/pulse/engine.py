@@ -245,7 +245,7 @@ class Engine:
         independent run from the engine's *current* state.  ``tier`` is
         ``"batched"`` (one vectorized event wheel over all lanes),
         ``"compiled"`` (sequential snapshot/restore replay - the exact
-        oracle), or ``None`` to follow ``REPRO_PULSE_LANES``.  The
+        oracle), or ``None`` for batched when the netlist supports it.  The
         engine's own state is untouched; use
         :func:`~repro.pulse.batched.install_lane` to load one lane's
         final state back for white-box inspection.

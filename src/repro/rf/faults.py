@@ -157,7 +157,7 @@ def run_hiperrf_trials(trials: Sequence[FaultTrial],
     cache; each trial is captured as a :class:`~repro.pulse.LaneStimulus`
     and the whole sweep replays in a single :meth:`Engine.run_lanes`
     call - batched by default, sequential compiled with
-    ``tier="compiled"`` or ``REPRO_PULSE_LANES=off``.
+    ``tier="compiled"``.
     """
     geom = geometry if geometry is not None else _DEFAULT_GEOMETRY
     rf = PulseHiPerRF.build_cached(geom, _HIPERRF_PERIOD_PS)

@@ -47,7 +47,7 @@ from repro.service.adapters import (
     jsonable,
     pulse_lane_stats,
 )
-from repro.service.jobs import Job, JobStore
+from repro.service.jobs import Job, JobState, JobStore
 
 #: (value, served_from_cache) - what an item's shared future resolves to.
 ItemResult = Tuple[Any, bool]
@@ -93,6 +93,11 @@ class CoalescingEngine:
         self.dispatches = 0
         self.dispatched_items = 0
         self.largest_group = 0
+        #: Running totals over every job ever resolved; unlike the job
+        #: store's bounded history they never go backwards.
+        self.totals: Dict[str, int] = dict.fromkeys(
+            ("jobs_done", "jobs_failed", "items", "item_cache_hits",
+             "item_coalesced", "item_computed"), 0)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -145,17 +150,9 @@ class CoalescingEngine:
         return await self.wait(self.submit(experiment, params))
 
     def stats(self) -> Dict[str, Any]:
-        jobs = self.store.list()
-        done = [job for job in jobs if job.state.value == "done"]
         payload: Dict[str, Any] = {
-            "jobs": len(jobs),
-            "jobs_done": len(done),
-            "jobs_failed": sum(1 for job in jobs
-                               if job.state.value == "failed"),
-            "items": sum(job.items for job in jobs),
-            "item_cache_hits": sum(job.cache_hits for job in jobs),
-            "item_coalesced": sum(job.coalesced for job in jobs),
-            "item_computed": sum(job.computed for job in jobs),
+            "jobs": len(self.store),
+            **self.totals,
             "dispatches": self.dispatches,
             "dispatched_items": self.dispatched_items,
             "largest_group": self.largest_group,
@@ -183,6 +180,13 @@ class CoalescingEngine:
             job.finish(jsonable(decomposed.recompose(list(values))))
         except Exception as exc:
             job.fail("".join(traceback.format_exception_only(exc)).strip())
+        totals = self.totals
+        totals["jobs_done" if job.state is JobState.DONE
+               else "jobs_failed"] += 1
+        totals["items"] += job.items
+        totals["item_cache_hits"] += job.cache_hits
+        totals["item_coalesced"] += job.coalesced
+        totals["item_computed"] += job.computed
 
     def _resolve_item(self, job: Job,
                       item: WorkItem) -> "asyncio.Future[Any]":

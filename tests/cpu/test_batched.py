@@ -1,34 +1,23 @@
-"""Equivalence suite: lane-batched tape replay vs the compiled oracle.
+"""Design-set dispatch: ``replay_lanes`` over the compiled tier.
 
-The batched tier (:mod:`repro.cpu.batched`) must return, per lane, a
-:class:`~repro.cpu.pipeline.PipelineResult` integer-equal in every
-field to a sequential :func:`~repro.cpu.compiled.replay_tape` of that
-lane.  This suite holds it to that oracle over the Figure 14 workload
-list, the full design space, both speculation modes, mixed-``CoreConfig``
-lane pools at several widths, the stateful-memory-model scalar fallback
-(including a *shared* model instance, which proves the lane access
-order), the int64 kernel path, tier/env resolution and the per-tape
-memoizations.
+:func:`~repro.cpu.batched.replay_lanes` replays one op tape per lane
+through :func:`~repro.cpu.compiled.replay_tape`.  This suite pins what
+the dispatch itself adds: ascending lane order (a *shared* stateful
+memory model sees the sequential-sweep access order), results landing
+in their lane slots, lane-indexed register validation, and the
+per-tape memoizations the replay relies on.
 """
 
 import pytest
 
 from repro.cpu import CoreConfig, OpTape, RFTimingModel
-from repro.cpu import batched
-from repro.cpu.batched import (
-    LANES_ENV_VAR,
-    Lane,
-    lanes_for_designs,
-    replay_lanes,
-    resolve_lanes_tier,
-)
+from repro.cpu.batched import Lane, replay_lanes
 from repro.cpu.compiled import design_tables, replay_tape
-from repro.cpu.rf_model import RF_DESIGN_NAMES
-from repro.errors import ConfigError, ExecutionError
+from repro.errors import ExecutionError
 from repro.experiments.figure14 import FIGURE14_WORKLOADS
 from repro.isa import assemble
 from repro.mem import DirectMappedCache
-from repro.workloads import PASS_EXIT_CODE, get_workload
+from repro.workloads import get_workload
 
 SCALE = 0.3
 MAX_INSTRUCTIONS = 60_000
@@ -45,100 +34,15 @@ def small_cache():
                              miss_cycles=40)
 
 
-def oracle(tape, lanes):
-    """Sequential compiled replay of every lane, in lane order."""
-    return [replay_tape(tape, lane.rf, lane.config,
-                        memory_model=lane.memory_model) for lane in lanes]
-
-
-def assert_lanes_match(tape, lanes, name=""):
-    got = replay_lanes(tape, lanes, tier="batched")
-    want = oracle(tape, lanes)
-    assert len(got) == len(lanes)
-    for index, (g, w) in enumerate(zip(got, want)):
-        assert result_key(g) == result_key(w), (name, index,
-                                                lanes[index].rf.name)
-
-
-def lane_pool(count):
-    """A deterministic mixed pool: designs x configs, cycled to ``count``.
-
-    The configs cover both speculation modes and three memory
-    latencies, so any prefix wider than a few lanes already mixes
-    ``CoreConfig`` values inside one kernel call.
-    """
-    configs = (
-        CoreConfig(),
-        CoreConfig(fall_through_speculation=False),
-        CoreConfig(memory_latency=4),
-        CoreConfig(memory_latency=48, fall_through_speculation=False),
-        CoreConfig(memory_latency=24),
-    )
-    pool = []
-    for i in range(count):
-        design = RF_DESIGN_NAMES[i % len(RF_DESIGN_NAMES)]
-        config = configs[(i // len(RF_DESIGN_NAMES)) % len(configs)]
-        pool.append(Lane(RFTimingModel.for_design(design, config), config))
-    return pool
-
-
 @pytest.fixture(scope="module")
-def figure14_tapes():
+def some_tapes():
+    """Tapes of the first three Figure 14 workloads."""
     tapes = {}
-    for name in FIGURE14_WORKLOADS:
+    for name in FIGURE14_WORKLOADS[:3]:
         program = assemble(get_workload(name).build(SCALE))
         tapes[name] = OpTape.from_program(
             program, max_instructions=MAX_INSTRUCTIONS)
     return tapes
-
-
-@pytest.fixture(scope="module")
-def some_tapes(figure14_tapes):
-    """Three tapes for the wider (lane-count x config) sweeps."""
-    names = list(figure14_tapes)[:3]
-    return {name: figure14_tapes[name] for name in names}
-
-
-class TestFigure14Equivalence:
-    def test_whole_design_space_one_batch(self, figure14_tapes):
-        """One batch over every design, on every Figure 14 workload."""
-        lanes = lanes_for_designs(RF_DESIGN_NAMES)
-        for name, tape in figure14_tapes.items():
-            assert tape.exit_code == PASS_EXIT_CODE, name
-            assert_lanes_match(tape, lanes, name)
-
-    def test_no_speculation_design_space(self, figure14_tapes):
-        """The nospec redirect class (branch-not-taken also redirects)."""
-        config = CoreConfig(fall_through_speculation=False)
-        lanes = lanes_for_designs(RF_DESIGN_NAMES, config)
-        for name, tape in figure14_tapes.items():
-            assert_lanes_match(tape, lanes, name)
-
-    @pytest.mark.parametrize("width", [1, 2, 6, 32])
-    def test_mixed_config_lane_widths(self, some_tapes, width):
-        """Mixed CoreConfig pools at the acceptance lane counts."""
-        lanes = lane_pool(width)
-        for name, tape in some_tapes.items():
-            assert_lanes_match(tape, lanes, name)
-
-    def test_mixed_speculation_in_one_batch(self, some_tapes):
-        """Spec and nospec lanes of the same design share a kernel call
-        (the masked redirect class)."""
-        spec = CoreConfig()
-        nospec = CoreConfig(fall_through_speculation=False)
-        lanes = [Lane(RFTimingModel.for_design(d, c), c)
-                 for d in ("hiperrf", "dual_bank_hiperrf")
-                 for c in (spec, nospec)]
-        for name, tape in some_tapes.items():
-            assert_lanes_match(tape, lanes, name)
-
-    def test_int64_kernel_path(self, some_tapes, monkeypatch):
-        """Force the time-bound dtype choice to int64; results must not
-        change (the int32 fast path is an optimization, not semantics)."""
-        lanes = lane_pool(6)
-        monkeypatch.setattr(batched, "_INT32_BOUND", 1)
-        for name, tape in some_tapes.items():
-            assert_lanes_match(tape, lanes, name)
 
 
 class TestMemoryModelFallback:
@@ -149,7 +53,7 @@ class TestMemoryModelFallback:
             lanes = [Lane(RFTimingModel.for_design(d, config), config,
                           memory_model=small_cache())
                      for d in ("ndro_rf", "hiperrf")]
-            got = replay_lanes(tape, lanes, tier="batched")
+            got = replay_lanes(tape, lanes)
             want = [replay_tape(tape, lane.rf, lane.config,
                                 memory_model=small_cache())
                     for lane in lanes]
@@ -166,7 +70,7 @@ class TestMemoryModelFallback:
             shared = small_cache()
             lanes = [Lane(RFTimingModel.for_design(d, config), config,
                           memory_model=shared) for d in designs]
-            got = replay_lanes(tape, lanes, tier="batched")
+            got = replay_lanes(tape, lanes)
             twin = small_cache()
             want = [replay_tape(tape, lane.rf, lane.config,
                                 memory_model=twin) for lane in lanes]
@@ -174,7 +78,7 @@ class TestMemoryModelFallback:
                 assert result_key(g) == result_key(w), name
 
     def test_mixed_vector_and_memory_lanes_keep_order(self, some_tapes):
-        """Scalar-fallback lanes interleaved with vector lanes must land
+        """Memory-model lanes interleaved with plain lanes must land
         back in their original slots."""
         config = CoreConfig()
         for name, tape in some_tapes.items():
@@ -187,7 +91,7 @@ class TestMemoryModelFallback:
                 Lane(RFTimingModel.for_design("hiperrf", config), config,
                      memory_model=small_cache()),
             ]
-            got = replay_lanes(tape, lanes, tier="batched")
+            got = replay_lanes(tape, lanes)
             want = [replay_tape(tape, lane.rf, lane.config,
                                 memory_model=(small_cache()
                                               if lane.memory_model
@@ -211,53 +115,6 @@ class TestValidationAndTiers:
         with pytest.raises(ExecutionError, match=r"lane 1 \(hiperrf\)"):
             replay_lanes(tape, lanes)
 
-    def test_resolve_tier_env_vocabulary(self, monkeypatch):
-        for raw in ("off", "0", "compiled", "sequential", "-3"):
-            monkeypatch.setenv(LANES_ENV_VAR, raw)
-            assert resolve_lanes_tier() == ("compiled", None)
-        for raw in ("", "on", "batched", "auto"):
-            monkeypatch.setenv(LANES_ENV_VAR, raw)
-            assert resolve_lanes_tier() == ("batched", None)
-        monkeypatch.setenv(LANES_ENV_VAR, "8")
-        assert resolve_lanes_tier() == ("batched", 8)
-        monkeypatch.delenv(LANES_ENV_VAR)
-        assert resolve_lanes_tier() == ("batched", None)
-
-    def test_resolve_tier_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(LANES_ENV_VAR, "warp")
-        with pytest.raises(ConfigError, match="REPRO_CPU_LANES"):
-            resolve_lanes_tier()
-
-    def test_explicit_tier_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(LANES_ENV_VAR, "off")
-        assert resolve_lanes_tier("batched") == ("batched", None)
-        monkeypatch.setenv(LANES_ENV_VAR, "on")
-        assert resolve_lanes_tier("compiled") == ("compiled", None)
-        with pytest.raises(ConfigError, match="unknown CPU lane tier"):
-            resolve_lanes_tier("turbo")
-
-    def test_lane_cap_chunks_match_full_batch(self, some_tapes,
-                                              monkeypatch):
-        """A cap of 2 splits 6 lanes into three kernel calls; results
-        must be identical to the uncapped batch."""
-        lanes = lane_pool(6)
-        name, tape = next(iter(some_tapes.items()))
-        full = [result_key(r) for r in replay_lanes(tape, lanes,
-                                                    tier="batched")]
-        monkeypatch.setenv(LANES_ENV_VAR, "2")
-        capped = [result_key(r) for r in replay_lanes(tape, lanes)]
-        assert capped == full
-
-    def test_compiled_tier_env_matches_batched(self, some_tapes,
-                                               monkeypatch):
-        lanes = lanes_for_designs(RF_DESIGN_NAMES)
-        name, tape = next(iter(some_tapes.items()))
-        batch = [result_key(r) for r in replay_lanes(tape, lanes,
-                                                     tier="batched")]
-        monkeypatch.setenv(LANES_ENV_VAR, "off")
-        scalar = [result_key(r) for r in replay_lanes(tape, lanes)]
-        assert scalar == batch
-
 
 class TestMemoization:
     def test_design_tables_lru_returns_cached_arrays(self, some_tapes):
@@ -277,9 +134,3 @@ class TestMemoization:
         c = OpTape.from_program(other, max_instructions=MAX_INSTRUCTIONS)
         assert c.content_fingerprint() != a.content_fingerprint()
 
-    def test_tape_statics_memoized_on_fingerprint(self, some_tapes):
-        tape = next(iter(some_tapes.values()))
-        first = batched._tape_statics(tape, "none")
-        again = batched._tape_statics(tape, "none")
-        assert first is again
-        assert batched._tape_statics(tape, "all") is not first

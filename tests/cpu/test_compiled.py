@@ -12,8 +12,6 @@ import pytest
 
 from repro.cpu import CoreConfig, GateLevelPipeline, OpTape, RFTimingModel
 from repro.cpu.compiled import (
-    COMPILED_ENV_VAR,
-    compiled_enabled,
     replay,
     replay_tape,
     replay_tape_reference,
@@ -172,15 +170,6 @@ class TestTierDispatch:
         with pytest.raises(ConfigError, match="tier"):
             replay(self._tape(), RFTimingModel.for_design("ndro_rf"),
                    CoreConfig(), tier="vectorized")
-
-    def test_env_switch(self, monkeypatch):
-        monkeypatch.delenv(COMPILED_ENV_VAR, raising=False)
-        assert compiled_enabled()
-        for value in ("0", "off", "FALSE", "no"):
-            monkeypatch.setenv(COMPILED_ENV_VAR, value)
-            assert not compiled_enabled()
-        monkeypatch.setenv(COMPILED_ENV_VAR, "1")
-        assert compiled_enabled()
 
     def test_tape_wider_than_register_file_rejected(self):
         ops = [ExecutedOp(pc=0, instr=Instruction("add", rd=40, rs1=2),

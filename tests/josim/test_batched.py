@@ -178,9 +178,9 @@ class TestChunkedExecution:
         original = solver_mod._BatchedStamps
 
         class SpyStamps(original):
-            def __init__(self, circuits, h, structure, backend=None):
+            def __init__(self, circuits, h, structure):
                 widths.append(len(circuits))
-                super().__init__(circuits, h, structure, backend)
+                super().__init__(circuits, h, structure)
 
         monkeypatch.setattr(solver_mod, "_BatchedStamps", SpyStamps)
         circuits = [_jtl_deck(0.6 + 0.02 * k) for k in range(5)]

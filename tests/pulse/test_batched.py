@@ -32,6 +32,7 @@ from repro.pulse import (
     install_lane,
     run_lanes,
 )
+from repro.pulse import batched as batched_mod
 from repro.pulse.demux import NdrocDemux
 from repro.rf.geometry import RFGeometry
 from repro.rf.netlist import PulseHiPerRF, PulseNdroRF
@@ -288,33 +289,6 @@ class TestCrossTierEquivalence:
 
 
 class TestTierSelection:
-    def _stimuli(self, engine, handle, lanes):
-        stimuli = []
-        for lane in range(lanes):
-            with capture_stimulus(engine) as capture:
-                program_hcdro(engine, handle, lane)
-            stimuli.append(capture.stimulus())
-        return stimuli
-
-    def test_env_lane_cap_chunks_identically(self, monkeypatch):
-        engine = Engine(strict_timing=True)
-        handle = build_hcdro(engine)
-        compiled = engine.compile()
-        stimuli = self._stimuli(engine, handle, 7)
-        whole = run_lanes(compiled, stimuli, tier="batched", trace=True)
-        monkeypatch.setenv("REPRO_PULSE_LANES", "3")
-        chunked = run_lanes(compiled, stimuli, trace=True)
-        assert chunked == whole
-
-    def test_env_off_selects_compiled(self, monkeypatch):
-        engine = Engine(strict_timing=True)
-        handle = build_hcdro(engine)
-        compiled = engine.compile()
-        stimuli = self._stimuli(engine, handle, 3)
-        expected = run_lanes(compiled, stimuli, tier="compiled")
-        monkeypatch.setenv("REPRO_PULSE_LANES", "off")
-        assert run_lanes(compiled, stimuli) == expected
-
     def test_on_error_raise_carries_lane_index(self):
         engine = Engine(strict_timing=True)
         handle = build_hcdro(engine)
@@ -328,10 +302,16 @@ class TestTierSelection:
             run_lanes(compiled, stimuli, tier="batched", on_error="raise")
 
 
+    @pytest.mark.parametrize("tier", (None, "batched", "compiled"))
+    def test_no_stimuli_no_outcomes(self, tier):
+        compiled = Engine(strict_timing=True).compile()
+        assert run_lanes(compiled, [], tier=tier) == []
+
+
 class TestWavePathEquivalence:
     """Both wave admission paths (vectorized and scalar-fallback) agree."""
 
-    @pytest.mark.parametrize("wave_min", ("1", "100000"))
-    def test_wave_min_env(self, monkeypatch, wave_min):
-        monkeypatch.setenv("REPRO_PULSE_WAVE_MIN", wave_min)
+    @pytest.mark.parametrize("wave_min", (1, 100000))
+    def test_wave_min_threshold(self, monkeypatch, wave_min):
+        monkeypatch.setattr(batched_mod, "_DEFAULT_MIN_VECTOR_WAVE", wave_min)
         assert_tiers_match(build_hiperrf, program_hiperrf, 4)

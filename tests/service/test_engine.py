@@ -10,6 +10,7 @@ import pytest
 from repro.experiments.parallel import ResultCache
 from repro.service.adapters import run_job_naive
 from repro.service.engine import CoalescingEngine
+from repro.service.jobs import JobStore
 from tests.service.test_adapters import CHEAP_MARGINS
 
 
@@ -133,6 +134,51 @@ class TestCoalescing:
         assert first.state.value == "done", first.error
         assert second.coalesced == 1
         assert first.result == second.result
+
+
+class TestStats:
+    COUNTERS = ("jobs_done", "jobs_failed", "items", "item_cache_hits",
+                "item_coalesced", "item_computed")
+
+    def test_counters_survive_job_store_eviction(self, tmp_path):
+        """Finished jobs evicted from a small store still count: no
+        counter ever decreases, and the item totals cover every job."""
+        a = {"pattern": [[1, 3]]}
+        b = {"pattern": [[2, 5]]}
+        # Two concurrent duplicates (one coalesces), then a fresh
+        # pattern, then a repeat served from the cache: five jobs.
+        rounds = [[a, a], [b], [a], [{"pattern": [[3, 6]]}]]
+
+        async def main():
+            async with CoalescingEngine(cache=ResultCache(tmp_path),
+                                        window_ms=10,
+                                        store=JobStore(max_finished=2)
+                                        ) as eng:
+                jobs, snapshots = [], []
+                for params in rounds:
+                    batch = [eng.submit("pulse_rf", p) for p in params]
+                    for job in batch:
+                        await eng.wait(job)
+                    jobs.extend(batch)
+                    snapshots.append(eng.stats())
+                return jobs, snapshots
+
+        jobs, snapshots = run(main())
+        assert len(jobs) == 5
+        assert all(job.state.value == "done" for job in jobs)
+        for earlier, later in zip(snapshots, snapshots[1:]):
+            for name in self.COUNTERS:
+                assert later[name] >= earlier[name], name
+        final = snapshots[-1]
+        assert final["jobs"] < 5  # the store did evict
+        assert final["jobs_done"] == 5 and final["jobs_failed"] == 0
+        assert final["items"] == sum(job.items for job in jobs) == 5
+        assert final["item_cache_hits"] == \
+            sum(job.cache_hits for job in jobs) == 1
+        assert final["item_coalesced"] == \
+            sum(job.coalesced for job in jobs) == 1
+        assert final["item_computed"] == \
+            sum(job.computed for job in jobs) == 3
 
 
 class TestFailure:
