@@ -414,6 +414,13 @@ def cached_map(namespace: str, fn: Callable[[T], R], points: Sequence[T],
         flight_key = _flight_key(store, namespace, key)
         leader, flight = SINGLE_FLIGHT.begin(flight_key)
         if leader:
+            # Re-check inside the flight: a previous leader may have
+            # published between our miss and our claim.
+            found = store.get(namespace, key)
+            if found is not None:
+                SINGLE_FLIGHT.finish(flight_key, flight, value=found)
+                results[index] = found
+                continue
             led[digest] = (index, flight_key, flight)
         else:
             waiting.append((index, flight))

@@ -36,6 +36,7 @@ import dataclasses
 import enum
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -471,9 +472,8 @@ def _pulse_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
     Every payload in a group shares the build key, so the whole batch
     is one exclusive checkout: each item's program is captured as a
     stimulus lane and the group replays in a single
-    :meth:`~repro.pulse.engine.Engine.run_lanes` call (batched tier
-    when the netlist supports it).  Per-item values decode
-    from the installed lane state and are identical to
+    :meth:`~repro.pulse.engine.Engine.run_lanes` call.  Per-item values
+    decode from the installed lane state and are identical to
     ``_pulse_compute_one``'s whether the item dispatches alone or with
     strangers - the equivalence the service benchmark enforces.
     """
@@ -512,36 +512,47 @@ def _pulse_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
 
 
 class _LaneMetrics:
-    """Thread-safe lane-occupancy record of batched pulse dispatches."""
+    """Thread-safe lane-occupancy record of lane dispatches.
+
+    Stored as a histogram (lane count -> dispatches), so memory is
+    bounded by the number of distinct lane counts, not by uptime.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._lanes: List[int] = []
+        self._counts: Counter[int] = Counter()
 
     def record(self, lanes: int) -> None:
         with self._lock:
-            self._lanes.append(int(lanes))
+            self._counts[int(lanes)] += 1
 
     def reset(self) -> None:
         with self._lock:
-            self._lanes.clear()
+            self._counts.clear()
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
-            lanes = sorted(self._lanes)
-        if not lanes:
+            counts = sorted(self._counts.items())
+        dispatches = sum(n for _, n in counts)
+        if not dispatches:
             return {"dispatches": 0, "lanes_total": 0,
                     "batches_coalesced": 0, "lanes_max": 0,
                     "lanes_p50": 0.0, "lanes_p95": 0.0}
 
         def rank(p: float) -> float:  # nearest-rank percentile
-            return float(lanes[min(len(lanes) - 1,
-                                   max(0, math.ceil(p * len(lanes)) - 1))])
+            target = min(dispatches, max(1, math.ceil(p * dispatches)))
+            seen = 0
+            for lanes, n in counts:
+                seen += n
+                if seen >= target:
+                    return float(lanes)
+            return float(counts[-1][0])
 
-        return {"dispatches": len(lanes),
-                "lanes_total": sum(lanes),
-                "batches_coalesced": sum(1 for n in lanes if n > 1),
-                "lanes_max": lanes[-1],
+        return {"dispatches": dispatches,
+                "lanes_total": sum(lanes * n for lanes, n in counts),
+                "batches_coalesced": sum(n for lanes, n in counts
+                                         if lanes > 1),
+                "lanes_max": counts[-1][0],
                 "lanes_p50": rank(0.50),
                 "lanes_p95": rank(0.95)}
 

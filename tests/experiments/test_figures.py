@@ -76,12 +76,10 @@ class TestFigure15:
         assert "Figure 15" in text and "loopbuffer_ndro" in text
 
     def test_loopback_read_sweep_lanes(self):
-        """The functional companion: N restoring reads keep the value,
-        and the lane batch agrees with the sequential oracle."""
+        """The functional companion: N restoring reads keep the value."""
         counts = [1, 2, 5]
-        rows = figure15.loopback_read_sweep(counts, tier="batched")
-        assert rows == figure15.loopback_read_sweep(counts,
-                                                    tier="compiled")
+        rows = figure15.loopback_read_sweep(counts)
+        assert [row["reads"] for row in rows] == [1.0, 2.0, 5.0]
         for row in rows:
             assert row["reads_ok"] == 1.0
             assert row["restored"] == 1.0

@@ -2,15 +2,22 @@
 
 The skew and fault studies replay every trial as a stimulus lane over
 one cached build; the compiled-netlist cache's hit/miss counters are
-the build spy.  The sweeps must also be tier-independent: forcing the
-sequential compiled oracle gives the identical outcomes.
+the build spy.  Every lane must also report what a solo run of the
+same trial reports.
 """
 
 from __future__ import annotations
 
 from repro.experiments import fault_study, skew
+from repro.pulse import Engine
 from repro.pulse.cache import DEFAULT_CACHE
+from repro.rf.faults import (
+    _HIPERRF_PERIOD_PS,
+    _hiperrf_outcome,
+    _schedule_hiperrf_trial,
+)
 from repro.rf.geometry import RFGeometry
+from repro.rf.netlist import PulseHiPerRF
 
 SMALL = RFGeometry(4, 8)  # 2 fault kinds x 4 registers x 4 columns
 
@@ -37,12 +44,20 @@ class TestSingleBuildPerSweep:
         assert DEFAULT_CACHE.stats()["misses"] == 1
 
 
-class TestSweepTierEquivalence:
-    def test_fault_sweep_tiers_agree(self):
-        batched = fault_study.run_sweep(tier="batched", geometry=SMALL)
-        compiled = fault_study.run_sweep(tier="compiled", geometry=SMALL)
-        assert batched == compiled
-        summary = fault_study.sweep_summary(batched)
+def _solo_reference_trial(trial):
+    """One fault trial live on a fresh reference (uncompiled) engine."""
+    rf = PulseHiPerRF(Engine(strict_timing=True), SMALL, _HIPERRF_PERIOD_PS)
+    settle = _schedule_hiperrf_trial(rf, trial)
+    return _hiperrf_outcome(rf, trial, settle)
+
+
+class TestSweepsMatchSoloRuns:
+    def test_fault_sweep_matches_solo(self):
+        outcomes = fault_study.run_sweep(geometry=SMALL)
+        solo = [_solo_reference_trial(trial)
+                for trial in fault_study.sweep_trials(SMALL)]
+        assert outcomes == solo
+        summary = fault_study.sweep_summary(outcomes)
         assert summary["drop_loopback_pulse"]["trials"] == 16
         assert summary["extra_data_pulse"]["trials"] == 16
         # A dropped loopback pulse corrupts whenever the struck column
@@ -50,7 +65,10 @@ class TestSweepTierEquivalence:
         assert summary["drop_loopback_pulse"]["state_corrupted"] > 0
         assert summary["extra_data_pulse"]["state_corrupted"] == 0
 
-    def test_skew_tiers_agree(self):
-        skews = [-4.0, 0.0, 8.0]
-        assert skew.run(skews, tier="batched") == \
-            skew.run(skews, tier="compiled")
+    def test_skew_sweep_matches_solo(self):
+        skews = [-16.0, -4.0, 0.0, 8.0, 16.0]
+        rows = skew.run(skews)
+        assert rows == [{"skew_ps": s, "restored": float(skew.restore_ok(s))}
+                        for s in skews]
+        # the sweep spans both sides of the window edge
+        assert {row["restored"] for row in rows} == {0.0, 1.0}

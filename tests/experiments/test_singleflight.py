@@ -203,3 +203,30 @@ class TestCachedMapCollapse:
         result = cached_map("ns", fn, [9, 9, 9], workers=1, cache=cache)
         assert result == [10, 10, 10]
         assert calls == [9]
+
+    def test_leader_publishing_between_miss_and_claim_is_reused(
+            self, tmp_path):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x * 10
+
+        class RacingCache(ResultCache):
+            """Lets another sweep lead and publish key 2 right after this
+            sweep's lookup missed it, before this sweep claims it."""
+            raced = False
+
+            def get(self, namespace, key):
+                found = super().get(namespace, key)
+                if found is None and key == 2 and not self.raced:
+                    self.raced = True
+                    assert cached_map(namespace, fn, [2], workers=1,
+                                      cache=self) == [20]
+                return found
+
+        cache = RacingCache(tmp_path)
+        assert cached_map("ns", fn, [1, 2, 3], workers=1,
+                          cache=cache) == [10, 20, 30]
+        assert sorted(calls) == [1, 2, 3]
+        assert SINGLE_FLIGHT.in_flight() == 0

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
+import random
+from collections.abc import Sized
 
 import pytest
 
 from repro.service.adapters import (
+    _LaneMetrics,
     CPU_LANE_METRICS,
     PULSE_LANE_METRICS,
     SUPPORTED_EXPERIMENTS,
@@ -203,6 +207,34 @@ class TestPulseAdapter:
         assert stats["lanes_max"] == 3
         assert stats["lanes_p50"] == 1.0
         assert stats["lanes_p95"] == 3.0
+
+    def test_lane_metrics_stay_bounded(self):
+        """100k dispatches keep one histogram entry per lane count and
+        report what a sort of every recorded dispatch would."""
+        rng = random.Random(7)
+        recorded = [rng.choice((1, 2, 3)) for _ in range(100_000)]
+        metrics = _LaneMetrics()
+        for lanes in recorded:
+            metrics.record(lanes)
+
+        ordered = sorted(recorded)
+
+        def rank(p):
+            index = min(len(ordered) - 1,
+                        max(0, math.ceil(p * len(ordered)) - 1))
+            return float(ordered[index])
+
+        assert metrics.snapshot() == {
+            "dispatches": len(ordered),
+            "lanes_total": sum(ordered),
+            "batches_coalesced": sum(1 for n in ordered if n > 1),
+            "lanes_max": ordered[-1],
+            "lanes_p50": rank(0.50),
+            "lanes_p95": rank(0.95),
+        }
+        stored = [value for value in vars(metrics).values()
+                  if isinstance(value, Sized)]
+        assert stored and all(len(value) <= 3 for value in stored)
 
     def test_lane_metrics_empty_snapshot(self):
         PULSE_LANE_METRICS.reset()
