@@ -140,7 +140,7 @@ def test_batched_margin_grid_speedup(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_megabatch_monte_carlo_yield(benchmark):
+def test_megabatch_monte_carlo_yield(benchmark, monkeypatch):
     """Mega-batch Monte Carlo lanes/sec vs the scalar solver.
 
     Every lane is one full HC-DRO margin-testbench program (3 writes,
@@ -150,8 +150,10 @@ def test_megabatch_monte_carlo_yield(benchmark):
     dense stack across the whole batch).  The scalar baseline runs the
     identical sampled lanes through ``TransientSolver`` one by one;
     the recorded floor is batched-vs-scalar lanes/sec at the largest
-    batch size.
+    batch size.  ``REPRO_CACHE_DIR`` is cleared so lanes/sec never
+    times a cache read.
     """
+    from repro.experiments.parallel import CACHE_ENV_VAR
     from repro.josim.montecarlo import (
         YieldConfig,
         _build_lane,
@@ -161,6 +163,7 @@ def test_megabatch_monte_carlo_yield(benchmark):
     )
     from repro.josim.solver import TransientSolver
 
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     seed = 20260808
     specs = hcdro_parameter_specs()
     sizes = [size for size in MEGABATCH_SIZES

@@ -8,6 +8,12 @@ run through the mega-batch Monte Carlo tier in
 solver — so the default 96-sample study is a few hundred transients,
 not a few hundred scalar solver calls.
 
+The integer lane outcomes are memoised in the shared result cache
+(``cache=``, else ``REPRO_CACHE_DIR``; namespace
+``montecarlo-lanes-v1``), so a rerun of the same study is a lookup
+that prints the same report except its ``throughput:`` line, which
+says the lanes came from the cache.
+
 Pass ``workers=1`` (or ``REPRO_SWEEP_WORKERS=1``) to force serial
 execution; ``REPRO_JOSIM_CHUNK`` bounds solver memory either way.
 """
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.experiments.parallel import CacheLike
 from repro.josim.montecarlo import (
     SpreadSpec,
     YieldConfig,
@@ -31,10 +38,11 @@ DEFAULT_SEED = 1234
 
 
 def run(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
-        workers: Optional[int] = None) -> YieldReport:
+        workers: Optional[int] = None,
+        cache: CacheLike = None) -> YieldReport:
     config = YieldConfig(samples=samples, seed=seed, spreads=SpreadSpec(),
                          read_scales=(0.95, 1.0, 1.05))
-    return run_yield_analysis(config, workers=workers)
+    return run_yield_analysis(config, workers=workers, cache=cache)
 
 
 def render(report: YieldReport | None = None) -> str:

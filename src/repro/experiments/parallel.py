@@ -258,7 +258,8 @@ class ResultCache:
 
     Layout: ``<root>/<namespace>/<digest>.json`` holding ``{"key": ...,
     "value": ...}``.  The recorded key guards against digest collisions
-    and makes the cache inspectable.  Corrupt or unreadable entries are
+    and makes the cache inspectable.  Corrupt or unreadable entries, and
+    entries that are not a dict holding both ``key`` and ``value``, are
     treated as misses and overwritten.
 
     ``max_bytes`` bounds the store with least-recently-used eviction
@@ -292,6 +293,10 @@ class ResultCache:
                 entry = json.load(handle)
         except (OSError, ValueError):
             self.misses += 1
+            return None
+        if (not isinstance(entry, dict) or "key" not in entry
+                or "value" not in entry):
+            self.misses += 1  # well-formed JSON of the wrong shape
             return None
         if entry.get("key") != json.loads(
                 json.dumps(key, default=_key_fallback)):

@@ -21,6 +21,11 @@ chunked block-diagonal batched solver:
   processes, and rolls the integer verdicts up into a
   :class:`YieldReport` (yield %, percentile margins, per-parameter
   sensitivity).
+* :func:`run_lanes` memoises those integer lane outcomes in the shared
+  :class:`~repro.experiments.parallel.ResultCache` (namespace
+  :data:`LANES_NAMESPACE`) when ``cache=`` or ``REPRO_CACHE_DIR`` names
+  one, so a rerun of the same study is a lookup; the report is rolled
+  up from the same integers either way.
 * :func:`verify_against_scalar` replays randomly sampled lanes through
   the scalar :class:`~repro.josim.solver.TransientSolver` oracle and
   reports the worst phase deviation (the 1e-9 equivalence bar).
@@ -37,8 +42,11 @@ after all shards return, so results are invariant to sharding.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,7 +54,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.experiments.parallel import parallel_map, resolve_workers
+from repro.experiments.parallel import (
+    CacheLike,
+    cached_call,
+    parallel_map,
+    resolve_workers,
+)
 from repro.josim.cells import (
     CellHandles,
     RECOMMENDED_J2_BIAS_UA,
@@ -298,16 +311,10 @@ def _run_shard(task: _ShardTask) -> List[LaneOutcome]:
     return [outcome for outcome in outcomes if outcome is not None]
 
 
-def run_lanes(config: YieldConfig, multipliers: np.ndarray,
-              specs: Sequence[ParameterSpec],
-              workers: Optional[int] = None) -> List[LaneOutcome]:
-    """Evaluate every (sample, scale) lane; returns sample-major outcomes.
-
-    Lanes are split into driver-level shards of ``config.shard_lanes``
-    (each shard is itself chunk-streamed by the batched solver, so peak
-    memory is governed by ``REPRO_JOSIM_CHUNK`` either way); shards fan
-    out across worker processes when more than one resolves.
-    """
+def _simulate_lanes(config: YieldConfig, multipliers: np.ndarray,
+                    specs: Sequence[ParameterSpec],
+                    workers: Optional[int]) -> List[LaneOutcome]:
+    """Simulate every lane: shard, fan out, concatenate sample-major."""
     scales = config.read_scales
     lane_scales = [scale for _ in range(config.samples) for scale in scales]
     lane_samples = [s for s in range(config.samples) for _ in scales]
@@ -327,6 +334,72 @@ def run_lanes(config: YieldConfig, multipliers: np.ndarray,
     for result in shard_results:
         outcomes.extend(result)
     return outcomes
+
+
+#: ResultCache namespace of memoised lane outcomes.  Bump the suffix
+#: whenever the solver, the lane builder or the fluxon reduction changes
+#: what a lane evaluates to - that is the only invalidation mechanism.
+LANES_NAMESPACE = "montecarlo-lanes-v1"
+
+
+def _lanes_key(config: YieldConfig, multipliers: np.ndarray,
+               specs: Sequence[ParameterSpec]) -> Dict[str, object]:
+    """Cache key covering every input that can change a lane outcome.
+
+    ``shard_lanes`` is left out: outcomes are invariant to sharding.
+    The multiplier matrix enters by shape and a digest of its float64
+    bytes, since callers may pass any matrix, not just a seeded draw.
+    """
+    fields = {f.name: getattr(config, f.name)
+              for f in dataclasses.fields(config) if f.name != "shard_lanes"}
+    matrix = np.ascontiguousarray(multipliers, dtype=np.float64)
+    digest = hashlib.sha256(matrix.tobytes()).hexdigest()
+    return {
+        "config": fields,
+        "specs": list(specs),
+        "multipliers": {"shape": list(matrix.shape), "sha256": digest},
+    }
+
+
+class _SimulatedLanes(threading.local):
+    """Per-thread count of lanes really simulated (cache hits excluded).
+
+    :func:`run_yield_analysis` reads it around its :func:`run_lanes`
+    call, so a cache hit reports no throughput while ``run_lanes``
+    keeps its public signature and return type.
+    """
+
+    count = 0
+
+
+_SIMULATED = _SimulatedLanes()
+
+
+def run_lanes(config: YieldConfig, multipliers: np.ndarray,
+              specs: Sequence[ParameterSpec],
+              workers: Optional[int] = None,
+              cache: CacheLike = None) -> List[LaneOutcome]:
+    """Evaluate every (sample, scale) lane; returns sample-major outcomes.
+
+    Lanes are split into driver-level shards of ``config.shard_lanes``
+    (each shard is itself chunk-streamed by the batched solver, so peak
+    memory is governed by ``REPRO_JOSIM_CHUNK`` either way); shards fan
+    out across worker processes when more than one resolves.
+
+    With a cache (``cache=``, else ``REPRO_CACHE_DIR``) the integer
+    outcomes are memoised under :data:`LANES_NAMESPACE`, keyed by
+    :func:`_lanes_key`; a hit builds no lanes.  Without one every lane
+    is simulated and nothing touches the disk.
+    """
+
+    def simulate() -> List[List[int]]:
+        outcomes = _simulate_lanes(config, multipliers, specs, workers)
+        _SIMULATED.count += len(outcomes)
+        return [[int(value) for value in outcome] for outcome in outcomes]
+
+    key = _lanes_key(config, multipliers, specs)
+    stored = cached_call(LANES_NAMESPACE, key, simulate, cache=cache)
+    return [(mid, end, pulses) for mid, end, pulses in stored]
 
 
 def _verdicts(config: YieldConfig,
@@ -392,14 +465,25 @@ def _sensitivity(specs: Sequence[ParameterSpec], multipliers: np.ndarray,
 
 
 def run_yield_analysis(config: Optional[YieldConfig] = None,
-                       workers: Optional[int] = None) -> YieldReport:
-    """Full Monte Carlo yield study: sample, simulate, roll up."""
+                       workers: Optional[int] = None,
+                       cache: CacheLike = None) -> YieldReport:
+    """Full Monte Carlo yield study: sample, simulate, roll up.
+
+    ``cache`` is passed to :func:`run_lanes`.  When every lane comes
+    from the cache, ``elapsed_s`` and ``lanes_per_sec`` are 0.0: no
+    simulation ran, so there is no rate to report.
+    """
     config = config or YieldConfig()
     specs = hcdro_parameter_specs(config.spreads)
     multipliers = sample_multipliers(specs, config.samples, config.seed)
+    simulated_before = _SIMULATED.count
     started = time.perf_counter()
-    outcomes = run_lanes(config, multipliers, specs, workers=workers)
+    outcomes = run_lanes(config, multipliers, specs, workers=workers,
+                         cache=cache)
     elapsed = time.perf_counter() - started
+    simulated = _SIMULATED.count - simulated_before
+    if not simulated:
+        elapsed = 0.0
     verdicts = _verdicts(config, outcomes)
     nominal = config.nominal_index
     passed = verdicts[:, nominal]
@@ -418,7 +502,7 @@ def run_yield_analysis(config: Optional[YieldConfig] = None,
         margin_p95_percent=float(np.percentile(margins, 95.0)),
         sensitivity=_sensitivity(specs, multipliers, passed),
         elapsed_s=elapsed,
-        lanes_per_sec=config.lanes / elapsed if elapsed > 0 else 0.0,
+        lanes_per_sec=simulated / elapsed if elapsed > 0 else 0.0,
     )
 
 
@@ -486,8 +570,11 @@ def render(report: YieldReport) -> str:
                     key=lambda item: -abs(item[1]))
     for label, value in ranked:
         lines.append(f"  {label:<12s} {value:+.3f}")
-    lines.append(f"throughput: {report.lanes_per_sec:,.0f} lanes/sec "
-                 f"({report.elapsed_s:.2f} s)")
+    if report.lanes_per_sec > 0:
+        lines.append(f"throughput: {report.lanes_per_sec:,.0f} lanes/sec "
+                     f"({report.elapsed_s:.2f} s)")
+    else:
+        lines.append("throughput: cached (0 lanes simulated)")
     return "\n".join(lines)
 
 

@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.parallel import CACHE_ENV_VAR
 from repro.pulse import Engine
 from repro.rf.geometry import RFGeometry
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_result_cache(monkeypatch) -> None:
+    """Ignore an exported ``REPRO_CACHE_DIR``.
+
+    Otherwise a developer's cache would serve results that the tests
+    mean to compute (the Monte Carlo shard/worker invariance tests would
+    compare cache hits).  Tests that want a cache pass ``tmp_path``.
+    """
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
 
 
 @pytest.fixture

@@ -94,6 +94,17 @@ class TestResultCache:
         cache.put("ns", "key", 2)  # overwriting heals the entry
         assert cache.get("ns", "key") == 2
 
+    @pytest.mark.parametrize("entry", [[], "x", 5, {"key": "key"}],
+                             ids=["list", "string", "number", "no-value"])
+    def test_wrong_shape_entry_is_a_miss(self, tmp_path, entry):
+        cache = ResultCache(tmp_path)
+        cache.put("ns", "key", 1)
+        cache._path("ns", "key").write_text(json.dumps(entry))
+        assert cache.get("ns", "key") is None
+        assert cache.hits == 0 and cache.misses == 1
+        cache.put("ns", "key", 2)  # overwriting heals the entry
+        assert cache.get("ns", "key") == 2
+
     def test_entries_record_their_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ns", {"scale": 0.5}, [1, 2])

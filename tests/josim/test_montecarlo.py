@@ -14,18 +14,24 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.experiments import runner
+from repro.experiments.parallel import CACHE_ENV_VAR
+from repro.josim import montecarlo
 from repro.josim.cells import build_hcdro_cell
 from repro.josim.montecarlo import (
+    LANES_NAMESPACE,
+    ParameterSpec,
     SpreadSpec,
     YieldConfig,
     apply_multipliers,
     hcdro_parameter_specs,
     main,
+    run_lanes,
     run_yield_analysis,
     sample_multipliers,
     verify_against_scalar,
 )
-from repro.josim.solver import CHUNK_ENV_VAR
+from repro.josim.solver import CHUNK_ENV_VAR, BatchedTransientSolver
 
 
 #: Small-but-nontrivial study used by the invariance tests: 18 lanes.
@@ -115,6 +121,140 @@ class TestSchedulingInvariance:
     def test_same_seed_same_report(self):
         assert (_report_key(run_yield_analysis(SMALL, workers=1))
                 == _report_key(run_yield_analysis(SMALL, workers=1)))
+
+
+def _forbid_simulation(monkeypatch):
+    def run_reduced(self, *args, **kwargs):
+        raise AssertionError("a cache hit must not simulate")
+    monkeypatch.setattr(BatchedTransientSolver, "run_reduced", run_reduced)
+
+
+#: One changed value per outcome-relevant YieldConfig field.
+VARIANTS = {
+    "samples": 7,
+    "seed": 98,
+    "spreads": SpreadSpec(sigma_ic=0.03),
+    "read_scales": (0.9, 1.0, 1.1),
+    "writes": 2,
+    "reads": 3,
+    "write_amplitude_ua": 610.0,
+    "read_amplitude_ua": 455.0,
+    "j2_bias_ua": 76.0,
+    "pulse_width_ps": 3.5,
+    "pulse_spacing_ps": 26.0,
+    "settle_ps": 31.0,
+    "timestep_ps": 0.04,
+    "record_every": 10,
+}
+
+
+class TestLaneCache:
+    """``run_lanes`` memoises integer outcomes under montecarlo-lanes-v1."""
+
+    @pytest.fixture
+    def simulations(self, monkeypatch):
+        """Stand-in simulator: records each study it is asked to run."""
+        calls = []
+
+        def simulate(config, multipliers, specs, workers):
+            calls.append(config)
+            return [(3, 0, 3)] * config.lanes
+
+        monkeypatch.setattr(montecarlo, "_simulate_lanes", simulate)
+        return calls
+
+    @staticmethod
+    def _lanes(config, tmp_path, specs=None, multipliers=None, workers=1):
+        specs = specs if specs is not None else hcdro_parameter_specs(
+            config.spreads)
+        if multipliers is None:
+            multipliers = sample_multipliers(specs, config.samples,
+                                             config.seed)
+        return run_lanes(config, multipliers, specs, workers=workers,
+                         cache=tmp_path)
+
+    def test_warm_rerun_builds_no_lanes(self, tmp_path, monkeypatch):
+        cold = run_yield_analysis(SMALL, workers=1, cache=tmp_path)
+        assert cold.lanes_per_sec > 0.0
+        _forbid_simulation(monkeypatch)
+        warm = run_yield_analysis(SMALL, workers=1, cache=tmp_path)
+        assert warm.elapsed_s == 0.0 and warm.lanes_per_sec == 0.0
+        assert warm == dataclasses.replace(cold, elapsed_s=0.0,
+                                           lanes_per_sec=0.0)
+        assert len(list((tmp_path / LANES_NAMESPACE).iterdir())) == 1
+
+    def test_no_cache_writes_nothing(self, tmp_path, monkeypatch,
+                                     simulations):
+        monkeypatch.chdir(tmp_path)
+        config = dataclasses.replace(SMALL, samples=2)
+        specs = hcdro_parameter_specs(config.spreads)
+        multipliers = sample_multipliers(specs, config.samples, config.seed)
+        for _ in range(2):
+            run_lanes(config, multipliers, specs, workers=1)
+        assert len(simulations) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_variants_cover_every_outcome_field(self):
+        fields = {f.name for f in dataclasses.fields(YieldConfig)}
+        assert set(VARIANTS) == fields - {"shard_lanes"}
+
+    @pytest.mark.parametrize("field_name", sorted(VARIANTS))
+    def test_config_field_change_misses(self, tmp_path, simulations,
+                                        field_name):
+        self._lanes(SMALL, tmp_path)
+        changed = dataclasses.replace(SMALL,
+                                      **{field_name: VARIANTS[field_name]})
+        self._lanes(changed, tmp_path)
+        assert simulations == [SMALL, changed]
+
+    def test_multiplier_change_misses(self, tmp_path, simulations):
+        specs = hcdro_parameter_specs(SMALL.spreads)
+        multipliers = sample_multipliers(specs, SMALL.samples, SMALL.seed)
+        self._lanes(SMALL, tmp_path, multipliers=multipliers)
+        nudged = multipliers.copy()
+        nudged[0, 0] = np.nextafter(nudged[0, 0], 2.0)
+        self._lanes(SMALL, tmp_path, multipliers=nudged)
+        assert len(simulations) == 2
+
+    def test_parameter_spec_change_misses(self, tmp_path, simulations):
+        specs = hcdro_parameter_specs(SMALL.spreads)
+        multipliers = sample_multipliers(specs, SMALL.samples, SMALL.seed)
+        self._lanes(SMALL, tmp_path, specs=specs, multipliers=multipliers)
+        respread = tuple(ParameterSpec(spec.element, spec.kind,
+                                       2.0 * spec.sigma) for spec in specs)
+        self._lanes(SMALL, tmp_path, specs=respread, multipliers=multipliers)
+        assert len(simulations) == 2
+
+    @pytest.mark.parametrize("shard_lanes, workers",
+                             [(4, 1), (SMALL.shard_lanes, 2)],
+                             ids=["shard_lanes", "workers"])
+    def test_scheduling_change_hits(self, tmp_path, simulations,
+                                    shard_lanes, workers):
+        first = self._lanes(SMALL, tmp_path)
+        resharded = dataclasses.replace(SMALL, shard_lanes=shard_lanes)
+        again = self._lanes(resharded, tmp_path, workers=workers)
+        assert again == first
+        assert simulations == [SMALL]
+
+    def test_runner_rerun_matches_except_throughput(self, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
+
+        def run_text():
+            assert runner.main(["montecarlo"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            throughput = [ln for ln in lines if ln.startswith("throughput:")]
+            assert len(throughput) == 1
+            rest = [ln for ln in lines if not ln.startswith("throughput:")]
+            return rest, throughput[0]
+
+        cold, cold_throughput = run_text()
+        _forbid_simulation(monkeypatch)
+        warm, warm_throughput = run_text()
+        assert warm == cold
+        assert "lanes/sec" in cold_throughput
+        assert warm_throughput == "throughput: cached (0 lanes simulated)"
 
 
 class TestScalarOracle:
