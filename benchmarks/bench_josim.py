@@ -8,7 +8,7 @@ times the lane-parallel batched backend against the scalar compiled
 path on a full 5x5 margin grid (x3 write counts = 75 lanes) and
 enforces the single-worker speedup bar.
 ``test_megabatch_monte_carlo_yield`` scales the same testbench through
-the chunked Monte Carlo tier and records lanes/sec at each batch size.
+the Monte Carlo tier and records lanes/sec at each batch size.
 """
 
 import os
@@ -16,7 +16,14 @@ import time
 
 from repro.experiments import josim_cells
 from repro.josim import sweep
-from repro.josim.margins import sweep_margin_grid, sweep_read_amplitude
+from repro.josim.cells import RECOMMENDED_J2_BIAS_UA, RECOMMENDED_READ_PULSE_UA
+from repro.josim.margins import (
+    DEFAULT_READS,
+    DEFAULT_WRITE_COUNTS,
+    MarginPoint,
+    sweep_margin_grid,
+    sweep_read_amplitude,
+)
 from repro.josim.testbench import HCDROTestbench
 
 #: Read/bias scale axes of the margin-grid benchmark: the Section II-D
@@ -99,25 +106,33 @@ def test_batched_margin_grid_speedup(benchmark):
 
     Both paths sweep the identical 5x5 (read, bias) grid with the
     default three write counts (75 lanes), run cache cleared so every
-    lane is simulated.  The scalar path is forced with
-    ``REPRO_JOSIM_BATCH=0``; the batched path groups the 75 configs
-    into three 25-lane topology batches.  Verdicts must agree
+    lane is simulated.  The scalar path calls ``sweep.simulate_hcdro``
+    once per config; the batched path groups the 75 configs into three
+    25-lane topology batches.  Verdicts must agree
     point-for-point - the scalar solver is the equivalence oracle.
     """
     def grid():
         sweep.clear_run_cache()
         return sweep_margin_grid(GRID_SCALES, GRID_SCALES, workers=1)
 
-    saved = os.environ.get(sweep.BATCH_ENV_VAR)
-    try:
-        os.environ[sweep.BATCH_ENV_VAR] = "0"
-        scalar_points = grid()
-        t_scalar = _best_of(grid)
-    finally:
-        if saved is None:
-            os.environ.pop(sweep.BATCH_ENV_VAR, None)
-        else:
-            os.environ[sweep.BATCH_ENV_VAR] = saved
+    def scalar_grid():
+        sweep.clear_run_cache()
+        points = []
+        for rs in GRID_SCALES:
+            for bs in GRID_SCALES:
+                amplitude = RECOMMENDED_READ_PULSE_UA * rs
+                bias = RECOMMENDED_J2_BIAS_UA * bs
+                summaries = [sweep.simulate_hcdro(sweep.HCDROConfig(
+                    writes=writes, reads=DEFAULT_READS,
+                    read_amplitude_ua=amplitude, j2_bias_ua=bias))
+                    for writes in DEFAULT_WRITE_COUNTS]
+                points.append(MarginPoint(
+                    read_amplitude_ua=amplitude, j2_bias_ua=bias,
+                    correct=all(s.correct for s in summaries)))
+        return points
+
+    scalar_points = scalar_grid()
+    t_scalar = _best_of(scalar_grid)
     batched_points = grid()
     t_batched = _best_of(grid)
     assert [(p.read_amplitude_ua, p.j2_bias_ua, p.correct)
@@ -145,9 +160,9 @@ def test_megabatch_monte_carlo_yield(benchmark, monkeypatch):
 
     Every lane is one full HC-DRO margin-testbench program (3 writes,
     4 reads) with sampled Ic/L/bias process spreads, evaluated on one
-    worker through the chunked block-diagonal batched tier (peak
-    memory bounded by ``REPRO_JOSIM_CHUNK``, never a ``(B, n, n)``
-    dense stack across the whole batch).  The scalar baseline runs the
+    worker through the block-diagonal batched tier (peak memory bounded
+    by ``YieldConfig.shard_lanes``, never a ``(B, n, n)`` dense stack
+    across the whole batch).  The scalar baseline runs the
     identical sampled lanes through ``TransientSolver`` one by one;
     the recorded floor is batched-vs-scalar lanes/sec at the largest
     batch size.  ``REPRO_CACHE_DIR`` is cleared so lanes/sec never

@@ -4,9 +4,9 @@ The margins experiment maps the worst-case drive window of the nominal
 cell; this one reports what fraction of *fabricated* cells still count
 fluxons correctly under Gaussian process spreads (Ic, L, bias).  Lanes
 run through the mega-batch Monte Carlo tier in
-:mod:`repro.josim.montecarlo` — the chunked block-diagonal batched
-solver — so the default 96-sample study is a few hundred transients,
-not a few hundred scalar solver calls.
+:mod:`repro.josim.montecarlo` — the block-diagonal batched solver — so
+the default 96-sample study is a few hundred transients, not a few
+hundred scalar solver calls.
 
 The integer lane outcomes are memoised in the shared result cache
 (``cache=``, else ``REPRO_CACHE_DIR``; namespace
@@ -15,7 +15,7 @@ that prints the same report except its ``throughput:`` line, which
 says the lanes came from the cache.
 
 Pass ``workers=1`` (or ``REPRO_SWEEP_WORKERS=1``) to force serial
-execution; ``REPRO_JOSIM_CHUNK`` bounds solver memory either way.
+execution; ``YieldConfig.shard_lanes`` bounds solver memory either way.
 """
 
 from __future__ import annotations

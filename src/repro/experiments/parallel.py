@@ -314,11 +314,16 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.stem}-{os.getpid()}-"
                              f"{threading.get_ident()}.tmp")
-        with tmp.open("w") as handle:
-            json.dump({"key": json.loads(
-                json.dumps(key, default=_key_fallback)),
-                "value": value}, handle)
-        tmp.replace(path)  # atomic publish; readers never see partial JSON
+        try:
+            with tmp.open("w") as handle:
+                json.dump({"key": json.loads(
+                    json.dumps(key, default=_key_fallback)),
+                    "value": value}, handle)
+            tmp.replace(path)  # atomic publish; readers never see partial JSON
+        except BaseException:
+            # The budget counts only ``*.json``: a stray tmp is never evicted.
+            tmp.unlink(missing_ok=True)
+            raise
         limit = self.max_bytes if self.max_bytes is not None \
             else cache_max_bytes()
         if limit > 0:

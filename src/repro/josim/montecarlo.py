@@ -5,20 +5,20 @@ currents, inductances and bias delivery around their design values, so
 a cell is characterised by its *parametric yield* — the fraction of
 sampled process corners that still behave perfectly — rather than a
 single worst-case margin.  This module layers that analysis on the
-chunked block-diagonal batched solver:
+block-diagonal batched solver:
 
 * :func:`hcdro_parameter_specs` enumerates the perturbable parameters
   of the HC-DRO netlist (per-junction Ic, per-inductor L, per-source
   bias) with Gaussian fractional spreads from :class:`SpreadSpec`.
 * :func:`sample_multipliers` draws the full ``(samples, params)``
-  multiplier matrix from one seeded generator **up front**, so chunk
+  multiplier matrix from one seeded generator **up front**, so shard
   size and worker count can never influence which parameters a sample
   receives (bitwise reproducibility).
 * :func:`run_yield_analysis` shards ``samples x read_scales`` lanes
   through :class:`~repro.josim.solver.BatchedTransientSolver` (one
-  topology group, streamed per-chunk via ``run_reduced`` so waveforms
-  never accumulate), optionally fanning shards out across worker
-  processes, and rolls the integer verdicts up into a
+  batched transient per shard of ``shard_lanes`` lanes, reduced via
+  ``run_reduced`` so waveforms never outlive their shard), optionally
+  fanning shards out across worker processes, and rolls the integer verdicts up into a
   :class:`YieldReport` (yield %, percentile margins, per-parameter
   sensitivity).
 * :func:`run_lanes` memoises those integer lane outcomes in the shared
@@ -121,7 +121,11 @@ class ParameterSpec:
 
 @dataclass(frozen=True)
 class YieldConfig:
-    """One Monte Carlo yield study, fully determined by its fields."""
+    """One Monte Carlo yield study, fully determined by its fields.
+
+    ``shard_lanes`` caps the lanes of one batched transient and so
+    bounds peak memory; outcomes do not depend on it.
+    """
 
     samples: int = 1000
     seed: int = 1234
@@ -210,7 +214,7 @@ def sample_multipliers(specs: Sequence[ParameterSpec], samples: int,
 
     One seeded generator, one draw, before any sharding — so the same
     ``(specs, samples, seed)`` triple yields a bitwise-identical matrix
-    regardless of chunk size or worker count.  Multipliers are
+    regardless of shard size or worker count.  Multipliers are
     ``1 + sigma * z`` with ``z ~ N(0, 1)``, clipped at
     :data:`MIN_MULTIPLIER`.
     """
@@ -286,7 +290,7 @@ class _ShardTask:
 
 
 def _run_shard(task: _ShardTask) -> List[LaneOutcome]:
-    """Run one shard's lanes as a single chunked batched transient."""
+    """Run one shard's lanes as a single batched transient."""
     config = task.config
     lanes = [
         _build_lane(config, task.specs, task.multiplier_rows[i], scale)
@@ -381,10 +385,9 @@ def run_lanes(config: YieldConfig, multipliers: np.ndarray,
               cache: CacheLike = None) -> List[LaneOutcome]:
     """Evaluate every (sample, scale) lane; returns sample-major outcomes.
 
-    Lanes are split into driver-level shards of ``config.shard_lanes``
-    (each shard is itself chunk-streamed by the batched solver, so peak
-    memory is governed by ``REPRO_JOSIM_CHUNK`` either way); shards fan
-    out across worker processes when more than one resolves.
+    Lanes are split into shards of ``config.shard_lanes``, each one
+    batched transient, so the shard size bounds peak solver memory;
+    shards fan out across worker processes when more than one resolves.
 
     With a cache (``cache=``, else ``REPRO_CACHE_DIR``) the integer
     outcomes are memoised under :data:`LANES_NAMESPACE`, keyed by

@@ -14,25 +14,25 @@ Three assembly tiers share one set of physics:
   Python walk over the element list.
 * **batched** (:class:`BatchedTransientSolver`): B circuits sharing one
   :func:`topology_signature` are stacked into lane-major state arrays
-  (``phi``/``v``/``a`` of shape ``(chunk, n)``).  The structural
-  matrices (incidence, unit-valued sin/cos scatter patterns, linear
-  stamp scatter, source scatter) depend only on the topology and are
+  (``phi``/``v``/``a`` of shape ``(B, n)``).  The structural matrices
+  (incidence, unit-valued sin/cos scatter patterns, linear stamp
+  scatter, source scatter) depend only on the topology and are
   compiled once per signature; per-lane parameters (``Ic``, ``1/L``,
   conductances, bias, pulse amplitudes) are stored as compact per-lane
-  *value vectors* and scattered into flat block-diagonal ``(chunk,
-  n*n)`` Jacobian blocks one chunk at a time — a mega-batch of 10^5
-  lanes never materializes a ``(B, n, n)`` dense stack.  Lanes are
-  processed in chunks of ``REPRO_JOSIM_CHUNK`` so peak memory is
-  ``O(chunk * n^2)`` regardless of B; within a chunk one Python-level
-  timestep loop advances every lane: one batched ``sin``/``cos`` pass,
-  one batched residual matmul, per-lane convergence masks with lane
-  freezing (converged lanes drop out of further solves), a batched
-  block-diagonal LAPACK solve (``numpy.linalg.solve``) over the
-  still-active sub-batch, and lane retirement for uneven stimulus
-  durations.  Per-lane trajectories match the compiled scalar tier to
-  ~1e-9.  :meth:`BatchedTransientSolver.run_reduced` streams
-  per-lane results through a reducer chunk by chunk so yield analyses
-  over 10^4-10^5 lanes never hold every trajectory at once.
+  *value vectors* and scattered into flat block-diagonal ``(B, n*n)``
+  Jacobian blocks, so a batch never materializes a ``(B, n, n)`` dense
+  stack.  One Python-level timestep loop advances every lane: one
+  batched ``sin``/``cos`` pass, one batched residual matmul, per-lane
+  convergence masks with lane freezing (converged lanes drop out of
+  further solves), a batched block-diagonal LAPACK solve
+  (``numpy.linalg.solve``) over the still-active sub-batch, and lane
+  retirement for uneven stimulus durations.  Per-lane trajectories
+  match the compiled scalar tier to ~1e-9.  Peak memory is
+  ``O(B * n^2)`` plus the recorded trajectories, so callers bound B:
+  :func:`repro.josim.sweep.run_configs` caps groups at
+  :data:`repro.josim.sweep.BATCH_LANES` lanes and Monte Carlo shards at
+  ``YieldConfig.shard_lanes``.  :meth:`BatchedTransientSolver.run_reduced`
+  hands each lane's result to a reducer so callers keep only summaries.
 * **reference** (``reference=True``): the original per-element assembly,
   kept as the independently-auditable ground truth.  The equivalence
   tests drive all tiers through the same decks and assert the
@@ -41,7 +41,6 @@ Three assembly tiers share one set of physics:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
@@ -70,32 +69,11 @@ from repro.josim.elements import (
 #: Above this many table entries the per-step source fallback is used
 #: instead of precomputing the source-current table.  The scalar tier
 #: counts ``steps * nodes`` entries; the batched tier must additionally
-#: account for lanes (``steps * nodes * chunk``) or a mega-batch
+#: account for lanes (``steps * nodes * lanes``) or a mega-batch
 #: silently blows memory on the table alone.
 _SOURCE_TABLE_LIMIT = 4_000_000
 
-#: Environment variable capping lanes per batched-solver chunk.  Peak
-#: memory of a batched run is ``O(chunk * n^2)`` (plus the chunk's
-#: recording buffers) regardless of the total lane count; ``0`` or
-#: ``off`` disables chunking (the whole batch runs as one chunk).
-CHUNK_ENV_VAR = "REPRO_JOSIM_CHUNK"
-_DEFAULT_CHUNK_LANES = 2048
-
 R = TypeVar("R")
-
-
-def chunk_lane_limit() -> int:
-    """Configured lanes-per-chunk cap; 0 means a single chunk."""
-    env = os.environ.get(CHUNK_ENV_VAR)
-    if env is not None:
-        lowered = env.strip().lower()
-        if lowered in ("off", "false", "no"):
-            return 0
-        try:
-            return max(0, int(lowered))
-        except ValueError:
-            pass
-    return _DEFAULT_CHUNK_LANES
 
 
 @dataclass
@@ -691,7 +669,7 @@ def _capacitance_value(element) -> float:
 
 
 class _BatchedStamps:
-    """Per-chunk lane parameter arrays over a shared `_BatchedStructure`.
+    """Per-lane parameter arrays over a shared `_BatchedStructure`.
 
     The same residual split as `_CompiledStamps`, lane-major::
 
@@ -702,10 +680,9 @@ class _BatchedStamps:
     (``1/L``, ``KAPPA*G``, ``KAPPA*C``, ``Ic``) scattered through the
     structure's unit stamp matrices into flat block-diagonal
     ``(lanes, n*n)`` rows — ``a_v_flat``/``a_a_flat`` for the history
-    terms and ``j_lin_flat`` for the constant linear Jacobian.  One
-    instance covers one *chunk* of lanes, so peak memory is
-    ``O(chunk * n^2)`` however large the full batch is; the Jacobian
-    update stays the flat batched matmul
+    terms and ``j_lin_flat`` for the constant linear Jacobian, so
+    memory is ``O(lanes * n^2)``; the Jacobian update stays the flat
+    batched matmul
     ``J.ravel() = j_lin_flat + (Ic*cos) @ JC_struct``.
     """
 
@@ -781,13 +758,12 @@ class BatchedTransientSolver:
     """Lane-parallel transient solver for same-topology circuit batches.
 
     Stacks ``B`` circuits sharing one :func:`topology_signature` into
-    lane-major state arrays and advances them through a Python-level
-    timestep loop, ``REPRO_JOSIM_CHUNK`` lanes at a time; the Newton
-    iteration is fully vectorized across a chunk's lanes, converged
-    lanes freeze out of further solves, and lanes with shorter stimulus
-    programs retire early (``run`` takes per-lane durations).  Per-lane
-    parameters live in compact value vectors scattered into flat
-    block-diagonal Jacobian rows per chunk, so a mega-batch never
+    lane-major state arrays and advances them through one Python-level
+    timestep loop; the Newton iteration is fully vectorized across
+    lanes, converged lanes freeze out of further solves, and lanes with
+    shorter stimulus programs retire early (``run`` takes per-lane
+    durations).  Per-lane parameters live in compact value vectors
+    scattered into flat block-diagonal Jacobian rows, so a batch never
     materializes a ``(B, n, n)`` dense stack; the stacked lane solve
     is NumPy's LAPACK-batched ``linalg.solve``.  Per-lane trajectories
     match :class:`TransientSolver`'s compiled path to ~1e-9 — the
@@ -873,14 +849,13 @@ class BatchedTransientSolver:
     def run_reduced(self, durations_ps,
                     reduce: Callable[[int, TransientResult], R],
                     record_every: int = 1) -> List[R]:
-        """Integrate lanes chunk by chunk, reducing results as they land.
+        """Integrate every lane, then reduce each result in lane order.
 
         ``reduce(lane, result)`` is called with each lane's
-        :class:`TransientResult` as soon as its chunk finishes; the
-        result buffers are dropped before the next chunk starts, so a
-        mega-batch yield analysis holds at most one chunk's
-        trajectories (plus the reduced summaries) in memory.  Returns
-        the reduced values in lane order.
+        :class:`TransientResult` once the batch finishes, and the
+        batch's recording buffers are dropped on return, so a caller
+        that keeps only summaries never accumulates trajectories across
+        batches.  Returns the reduced values in lane order.
         """
         batch = len(self.circuits)
         durations = np.broadcast_to(
@@ -893,24 +868,18 @@ class BatchedTransientSolver:
                 len(c.elements) for c in self.circuits]:
             self._compile()  # a circuit grew since construction
         steps = np.array([int(round(float(d) / self.h)) for d in durations])
-        chunk = chunk_lane_limit()
-        if chunk <= 0:
-            chunk = batch
+        stamps = _BatchedStamps(self.circuits, self.h, self._structure)
+        times, phases, velocities, rows = self._run_batched(
+            stamps, steps, record_every)
         outputs: List[R] = []
-        for start in range(0, batch, chunk):
-            stop = min(start + chunk, batch)
-            stamps = _BatchedStamps(self.circuits[start:stop], self.h,
-                                    self._structure)
-            times, phases, velocities, rows = self._run_batched(
-                stamps, steps[start:stop], record_every, start)
-            for offset in range(stop - start):
-                upto = rows[offset]
-                result = TransientResult(
-                    circuit=self.circuits[start + offset],
-                    times_ps=times[offset, :upto].copy(),
-                    phases=phases[offset, :upto].copy(),
-                    velocities=velocities[offset, :upto].copy())
-                outputs.append(reduce(start + offset, result))
+        for lane, circuit in enumerate(self.circuits):
+            upto = rows[lane]
+            result = TransientResult(
+                circuit=circuit,
+                times_ps=times[lane, :upto].copy(),
+                phases=phases[lane, :upto].copy(),
+                velocities=velocities[lane, :upto].copy())
+            outputs.append(reduce(lane, result))
         return outputs
 
     def _record_plan(self, steps: np.ndarray, record_every: int):
@@ -925,8 +894,8 @@ class BatchedTransientSolver:
         return times, phases, velocities
 
     def _run_batched(self, stamps: _BatchedStamps, steps: np.ndarray,
-                     record_every: int, lane_offset: int):
-        """Advance one chunk of lanes; ``steps`` is chunk-local."""
+                     record_every: int):
+        """Advance every lane; ``steps`` holds per-lane step counts."""
         n = self._n
         h = self.h
         tol = self.tol
@@ -951,9 +920,9 @@ class BatchedTransientSolver:
         jc_t = self._structure.jc_t
 
         max_steps = int(steps.max())
-        # Per-chunk source table; the limit accounts for the chunk's
-        # lane count (steps * n * chunk entries), falling back to
-        # per-step evaluation for very long or very wide chunks.
+        # Source table; the limit accounts for the lane count
+        # (steps * n * lanes entries), falling back to per-step
+        # evaluation for very long or very wide batches.
         if max_steps * batch * max(n, 1) <= _SOURCE_TABLE_LIMIT:
             source_rows = stamps.source_residual(
                 h * np.arange(1, max_steps + 1))
@@ -1016,8 +985,7 @@ class BatchedTransientSolver:
                 try:
                     update = np.linalg.solve(jac, residual[..., None])[..., 0]
                 except np.linalg.LinAlgError as exc:
-                    lane = lane_offset + self._singular_lane(
-                        jac, residual, active[work])
+                    lane = self._singular_lane(jac, residual, active[work])
                     raise self._lane_error(
                         lane, "singular Jacobian", t) from exc
                 # Damped Newton keeps 2pi phase slips stable (per lane).
@@ -1027,7 +995,7 @@ class BatchedTransientSolver:
                     update[over] /= max_step[over][:, None]
                 trial[work] -= update
             if work.size:
-                lane = lane_offset + int(active[work[0]])
+                lane = int(active[work[0]])
                 raise SimulationError(
                     f"lane {lane} ({self.labels[lane]}): Newton failed "
                     f"to converge at t={t:.3f} ps "

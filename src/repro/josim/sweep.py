@@ -14,12 +14,14 @@ provides the shared driver used by :mod:`repro.josim.margins` and the
   configurations as lanes of one batched transient
   (:class:`~repro.josim.solver.BatchedTransientSolver`).
 * :func:`run_configs` — simulate many configurations with deterministic
-  result ordering and an LRU-bounded process-global run-cache.  Pending
-  configurations are grouped by :func:`topology_key` (write count, read
-  count, timestep — the config-level proxy for
-  :func:`repro.josim.solver.topology_signature`) and each group runs as
-  one batched transient.  With more than one resolved worker, whole
-  batches fan out across a ``ProcessPoolExecutor``; when
+  result ordering and an LRU-bounded process-global run-cache
+  (:data:`RUN_CACHE_ENTRIES` summaries).  Pending configurations are
+  grouped by :func:`topology_key` (write count, read count, timestep —
+  the config-level proxy for
+  :func:`repro.josim.solver.topology_signature`) into groups of at most
+  :data:`BATCH_LANES` lanes; a group runs as one batched transient, a
+  singleton through the scalar solver.  With more than one resolved
+  worker, whole batches fan out across a ``ProcessPoolExecutor``; when
   :func:`resolve_workers` yields 1 (e.g. a 1-CPU host or
   ``REPRO_SWEEP_WORKERS=1``) everything runs in-process — no pool is
   ever spawned, so single-CPU machines never pay pool startup for
@@ -30,17 +32,6 @@ provides the shared driver used by :mod:`repro.josim.margins` and the
 Worker count resolution: an explicit ``workers`` argument wins, then
 the ``REPRO_SWEEP_WORKERS`` environment variable, then ``os.cpu_count()``.
 
-Batching is controlled by ``REPRO_JOSIM_BATCH``: unset (default) caps
-batches at 64 lanes, a positive integer overrides the cap, and ``0`` or
-``off`` disables batching entirely (every config goes through the
-scalar solver — the equivalence oracle, and the baseline the batched
-benchmark compares against).
-
-The run-cache is bounded: ``REPRO_JOSIM_CACHE_SIZE`` caps the number of
-retained summaries (default 4096, least-recently-used eviction; ``0``
-or a negative value removes the bound) so long grid studies on small
-machines don't grow memory without limit.
-
 The executor machinery that started here has been generalised into
 :mod:`repro.experiments.parallel` (which adds on-disk result caching);
 ``resolve_workers`` and ``sweep_map`` are re-exported from there so
@@ -49,7 +40,6 @@ existing analog-study callers keep working unchanged.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, TypeVar
@@ -71,14 +61,13 @@ from repro.josim.cells import (
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Environment variable bounding the run-cache (entries; <=0 unbounds it).
-CACHE_SIZE_ENV_VAR = "REPRO_JOSIM_CACHE_SIZE"
-_DEFAULT_CACHE_SIZE = 4096
+#: Run-cache bound (summaries, least-recently-used eviction), so long
+#: grid studies never grow memory without limit.
+RUN_CACHE_ENTRIES = 4096
 
-#: Environment variable controlling batched dispatch: unset -> default
-#: lane cap, positive integer -> that cap, 0/"off" -> scalar solver only.
-BATCH_ENV_VAR = "REPRO_JOSIM_BATCH"
-_DEFAULT_BATCH_LANES = 64
+#: Most lanes one batched HC-DRO transient takes; bigger topology groups
+#: split into several batches, which bounds a batch's trajectory memory.
+BATCH_LANES = 64
 
 
 @dataclass(frozen=True)
@@ -139,17 +128,6 @@ def topology_key(config: HCDROConfig) -> Tuple[int, int, float]:
 _RUN_CACHE: "OrderedDict[HCDROConfig, HCDROSummary]" = OrderedDict()
 
 
-def _cache_capacity() -> int:
-    """Configured cache bound; <=0 disables the bound."""
-    env = os.environ.get(CACHE_SIZE_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return _DEFAULT_CACHE_SIZE
-
-
 def _cache_get(config: HCDROConfig) -> Optional[HCDROSummary]:
     summary = _RUN_CACHE.get(config)
     if summary is not None:
@@ -160,10 +138,8 @@ def _cache_get(config: HCDROConfig) -> Optional[HCDROSummary]:
 def _cache_put(config: HCDROConfig, summary: HCDROSummary) -> None:
     _RUN_CACHE[config] = summary
     _RUN_CACHE.move_to_end(config)
-    capacity = _cache_capacity()
-    if capacity > 0:
-        while len(_RUN_CACHE) > capacity:
-            _RUN_CACHE.popitem(last=False)
+    while len(_RUN_CACHE) > RUN_CACHE_ENTRIES:
+        _RUN_CACHE.popitem(last=False)
 
 
 def clear_run_cache() -> None:
@@ -173,20 +149,6 @@ def clear_run_cache() -> None:
 
 def run_cache_size() -> int:
     return len(_RUN_CACHE)
-
-
-def batch_lane_limit() -> int:
-    """Max lanes per batched transient; 0 disables batched dispatch."""
-    env = os.environ.get(BATCH_ENV_VAR)
-    if env is not None:
-        lowered = env.strip().lower()
-        if lowered in ("off", "false", "no"):
-            return 0
-        try:
-            return max(0, int(lowered))
-        except ValueError:
-            pass
-    return _DEFAULT_BATCH_LANES
 
 
 def simulate_hcdro(config: HCDROConfig) -> HCDROSummary:
@@ -246,20 +208,16 @@ def _simulate_group(group: List[HCDROConfig]) -> List[HCDROSummary]:
 def _group_pending(pending: Sequence[HCDROConfig]) -> List[List[HCDROConfig]]:
     """Split pending configs into dispatch units.
 
-    Same-topology configs batch together (up to the configured lane
-    cap, preserving first-seen order); with batching disabled every
-    config is its own scalar dispatch unit.
+    Same-topology configs batch together, at most :data:`BATCH_LANES`
+    per group, preserving first-seen order.
     """
-    lane_cap = batch_lane_limit()
-    if lane_cap <= 0:
-        return [[config] for config in pending]
     by_key: "OrderedDict[tuple, List[HCDROConfig]]" = OrderedDict()
     for config in pending:
         by_key.setdefault(topology_key(config), []).append(config)
     groups: List[List[HCDROConfig]] = []
     for lanes in by_key.values():
-        for start in range(0, len(lanes), lane_cap):
-            groups.append(lanes[start:start + lane_cap])
+        for start in range(0, len(lanes), BATCH_LANES):
+            groups.append(lanes[start:start + BATCH_LANES])
     return groups
 
 

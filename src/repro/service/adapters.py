@@ -248,10 +248,21 @@ def _hcdro_value(config: Any, report: Any) -> Dict[str, Any]:
 
 
 def _hcdro_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
-    """One batched transient over same-topology lanes."""
+    """Batched transients over same-topology lanes.
+
+    A coalesced group is as large as its requests' grids, so it runs in
+    batches of at most :data:`repro.josim.sweep.BATCH_LANES` lanes (the
+    cap ``run_configs`` uses): a batch keeps every lane's trajectory
+    until it finishes.
+    """
+    from repro.josim import sweep
     from repro.josim.testbench import run_hcdro_batch
 
-    reports = run_hcdro_batch(list(payloads))
+    payloads = list(payloads)
+    cap = sweep.BATCH_LANES
+    reports = []
+    for start in range(0, len(payloads), cap):
+        reports.extend(run_hcdro_batch(payloads[start:start + cap]))
     return [_hcdro_value(config, report)
             for config, report in zip(payloads, reports)]
 

@@ -105,6 +105,18 @@ class TestResultCache:
         cache.put("ns", "key", 2)  # overwriting heals the entry
         assert cache.get("ns", "key") == 2
 
+    def test_failed_put_leaves_no_tmp_file(self, tmp_path):
+        """A value ``json`` cannot encode raises and leaves nothing behind:
+        the size budget counts only ``*.json``, so a stray tmp file
+        would never be evicted."""
+        import numpy as np
+
+        cache = ResultCache(tmp_path)
+        with pytest.raises(TypeError):
+            cache.put("ns", "k", {"b": np.int64(3)})
+        assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+        assert cache.get("ns", "k") is None
+
     def test_entries_record_their_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ns", {"scale": 0.5}, [1, 2])

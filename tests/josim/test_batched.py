@@ -135,60 +135,9 @@ class TestBatchedEquivalence:
 
 
 class TestChunkedExecution:
-    """Lane chunking must be invisible except for peak memory."""
+    """Reduction order and the source-table bound over one lane batch."""
 
-    def test_chunk_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(solver_mod.CHUNK_ENV_VAR, raising=False)
-        assert solver_mod.chunk_lane_limit() == 2048
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "17")
-        assert solver_mod.chunk_lane_limit() == 17
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "off")
-        assert solver_mod.chunk_lane_limit() == 0
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "-3")
-        assert solver_mod.chunk_lane_limit() == 0
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "nonsense")
-        assert solver_mod.chunk_lane_limit() == 2048
-
-    def test_chunked_hcdro_matches_scalar(self, monkeypatch):
-        """A chunk smaller than the batch leaves the 1e-9 bar intact."""
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "2")
-        factory, lane_params, duration, junctions = LANE_DECKS["hcdro"]
-        _assert_lanes_match_scalar(factory, lane_params, duration,
-                                   junctions)
-
-    def test_chunked_matches_unchunked(self, monkeypatch):
-        factory, lane_params, duration, _ = LANE_DECKS["dro"]
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "off")
-        whole = BatchedTransientSolver(
-            [factory(*p) for p in lane_params], timestep_ps=0.05,
-        ).run(duration)
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "1")
-        chunked = BatchedTransientSolver(
-            [factory(*p) for p in lane_params], timestep_ps=0.05,
-        ).run(duration)
-        for lane in range(len(lane_params)):
-            max_dphi = float(np.max(np.abs(
-                whole[lane].phases - chunked[lane].phases)))
-            assert max_dphi <= 1e-12, f"lane {lane}: {max_dphi:.3e}"
-
-    def test_stamps_built_per_chunk(self, monkeypatch):
-        """Peak stamp width is the chunk size, not the batch size."""
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "2")
-        widths = []
-        original = solver_mod._BatchedStamps
-
-        class SpyStamps(original):
-            def __init__(self, circuits, h, structure):
-                widths.append(len(circuits))
-                super().__init__(circuits, h, structure)
-
-        monkeypatch.setattr(solver_mod, "_BatchedStamps", SpyStamps)
-        circuits = [_jtl_deck(0.6 + 0.02 * k) for k in range(5)]
-        BatchedTransientSolver(circuits, timestep_ps=0.05).run(40.0)
-        assert widths == [2, 2, 1]
-
-    def test_run_reduced_streams_in_lane_order(self, monkeypatch):
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "2")
+    def test_run_reduced_streams_in_lane_order(self):
         circuits = [_jtl_deck(0.6 + 0.02 * k) for k in range(5)]
         full = BatchedTransientSolver(circuits, timestep_ps=0.05).run(40.0)
         circuits = [_jtl_deck(0.6 + 0.02 * k) for k in range(5)]
@@ -203,7 +152,7 @@ class TestChunkedExecution:
         assert seen == [0, 1, 2, 3, 4]
         assert reduced == [float(r.phases[-1].max()) for r in full]
 
-    def test_source_table_limit_accounts_for_chunk_lanes(self, monkeypatch):
+    def test_source_table_limit_accounts_for_batch_lanes(self, monkeypatch):
         """Three lanes must trip a limit one lane fits under — and the
         per-step fallback must reproduce the table path's trajectories."""
         circuits = [_jtl_deck(0.6), _jtl_deck(0.7), _jtl_deck(0.75)]

@@ -2,7 +2,7 @@
 
 The contract under test: the same ``(spreads, samples, seed)`` triple
 produces bitwise-identical parameter multipliers and identical yield
-numbers no matter how the lanes are sharded, chunked or spread across
+numbers no matter how the lanes are sharded or spread across
 workers — and every batched lane remains a faithful stand-in for the
 scalar solver (1e-9 phase bar).
 """
@@ -31,7 +31,7 @@ from repro.josim.montecarlo import (
     sample_multipliers,
     verify_against_scalar,
 )
-from repro.josim.solver import CHUNK_ENV_VAR, BatchedTransientSolver
+from repro.josim.solver import BatchedTransientSolver
 
 
 #: Small-but-nontrivial study used by the invariance tests: 18 lanes.
@@ -104,12 +104,6 @@ class TestSchedulingInvariance:
         resharded = run_yield_analysis(
             dataclasses.replace(SMALL, shard_lanes=4), workers=1)
         assert _report_key(resharded) == _report_key(reference)
-
-    def test_solver_chunk_does_not_change_results(self, monkeypatch):
-        reference = run_yield_analysis(SMALL, workers=1)
-        monkeypatch.setenv(CHUNK_ENV_VAR, "3")
-        chunked = run_yield_analysis(SMALL, workers=1)
-        assert _report_key(chunked) == _report_key(reference)
 
     def test_worker_count_does_not_change_results(self):
         reference = run_yield_analysis(

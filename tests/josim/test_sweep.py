@@ -6,7 +6,6 @@ import repro.experiments.parallel as parallel_mod
 from repro.josim import sweep
 from repro.josim.sweep import (
     HCDROConfig,
-    batch_lane_limit,
     clear_run_cache,
     resolve_workers,
     run_cache_size,
@@ -178,19 +177,7 @@ class TestBatchedDispatch:
         assert topology_key(base) != topology_key(
             HCDROConfig(writes=2, reads=4, timestep_ps=0.1))
 
-    def test_batch_lane_limit_env(self, monkeypatch):
-        monkeypatch.delenv(sweep.BATCH_ENV_VAR, raising=False)
-        assert batch_lane_limit() == sweep._DEFAULT_BATCH_LANES
-        monkeypatch.setenv(sweep.BATCH_ENV_VAR, "7")
-        assert batch_lane_limit() == 7
-        monkeypatch.setenv(sweep.BATCH_ENV_VAR, "0")
-        assert batch_lane_limit() == 0
-        monkeypatch.setenv(sweep.BATCH_ENV_VAR, "off")
-        assert batch_lane_limit() == 0
-        monkeypatch.setenv(sweep.BATCH_ENV_VAR, "nonsense")
-        assert batch_lane_limit() == sweep._DEFAULT_BATCH_LANES
-
-    def test_batched_matches_scalar_summaries(self, monkeypatch):
+    def test_batched_matches_scalar_summaries(self):
         """The batched dispatch path and the scalar path must agree on
         every summary — the scalar solver is the equivalence oracle."""
         configs = [HCDROConfig(writes=1, reads=2),
@@ -200,15 +187,14 @@ class TestBatchedDispatch:
                                read_amplitude_ua=460.0)]
         batched = run_configs(configs, workers=1)
         clear_run_cache()
-        monkeypatch.setenv(sweep.BATCH_ENV_VAR, "0")
-        scalar = run_configs(configs, workers=1)
+        scalar = [simulate_hcdro(config) for config in configs]
         assert [(s.stored_after_writes, s.stored_at_end, s.output_pulses)
                 for s in batched] == \
                [(s.stored_after_writes, s.stored_at_end, s.output_pulses)
                 for s in scalar]
 
     def test_lane_cap_chunks_large_groups(self, monkeypatch):
-        monkeypatch.setenv(sweep.BATCH_ENV_VAR, "2")
+        monkeypatch.setattr(sweep, "BATCH_LANES", 2)
         configs = [HCDROConfig(writes=0, reads=0,
                                settle_ps=20.0 + 5.0 * k)
                    for k in range(5)]
@@ -227,19 +213,11 @@ class TestBatchedDispatch:
 
 
 class TestRunCacheBound:
-    def test_capacity_env(self, monkeypatch):
-        monkeypatch.setenv(sweep.CACHE_SIZE_ENV_VAR, "2")
-        assert sweep._cache_capacity() == 2
-        monkeypatch.setenv(sweep.CACHE_SIZE_ENV_VAR, "0")
-        assert sweep._cache_capacity() == 0
-        monkeypatch.setenv(sweep.CACHE_SIZE_ENV_VAR, "junk")
-        assert sweep._cache_capacity() == sweep._DEFAULT_CACHE_SIZE
-
     def test_eviction_keeps_result_ordering(self, monkeypatch):
         """With a cache smaller than the sweep, results still come back
         element-for-element in input order (the local result map, not
         the evicting cache, feeds the return list)."""
-        monkeypatch.setenv(sweep.CACHE_SIZE_ENV_VAR, "2")
+        monkeypatch.setattr(sweep, "RUN_CACHE_ENTRIES", 2)
         configs = [HCDROConfig(writes=0, reads=0,
                                settle_ps=20.0 + 5.0 * k)
                    for k in range(4)]
@@ -251,7 +229,7 @@ class TestRunCacheBound:
         assert list(sweep._RUN_CACHE) == configs[-2:]
 
     def test_eviction_is_lru_not_fifo(self, monkeypatch):
-        monkeypatch.setenv(sweep.CACHE_SIZE_ENV_VAR, "2")
+        monkeypatch.setattr(sweep, "RUN_CACHE_ENTRIES", 2)
         a = HCDROConfig(writes=0, reads=0, settle_ps=20.0)
         b = HCDROConfig(writes=0, reads=0, settle_ps=25.0)
         c = HCDROConfig(writes=0, reads=0, settle_ps=35.0)
@@ -263,7 +241,7 @@ class TestRunCacheBound:
 
     def test_repeat_sweep_recomputes_evicted_points_correctly(
             self, monkeypatch):
-        monkeypatch.setenv(sweep.CACHE_SIZE_ENV_VAR, "1")
+        monkeypatch.setattr(sweep, "RUN_CACHE_ENTRIES", 1)
         configs = [HCDROConfig(writes=0, reads=0, settle_ps=20.0),
                    HCDROConfig(writes=0, reads=0, settle_ps=25.0)]
         first = run_configs(configs, workers=1)

@@ -14,6 +14,7 @@ from repro.service.adapters import (
     CPU_LANE_METRICS,
     PULSE_LANE_METRICS,
     SUPPORTED_EXPERIMENTS,
+    compute_item,
     cpu_lane_stats,
     decompose,
     dispatch_group,
@@ -90,6 +91,30 @@ class TestMarginsAdapter:
         naive = run_job_naive("margins", CHEAP_MARGINS)
         assert json.dumps(batched, sort_keys=True) == \
             json.dumps(naive, sort_keys=True)
+
+    def test_large_group_runs_in_capped_batches(self, monkeypatch):
+        """A coalesced group bigger than the sweep's lane cap runs as
+        several capped batched transients, and each item still gets the
+        value a solo scalar run gives."""
+        import repro.josim.testbench as testbench
+        from repro.josim import sweep
+
+        monkeypatch.setattr(sweep, "BATCH_LANES", 2)
+        sizes = []
+        original = testbench.run_hcdro_batch
+
+        def spy(configs, *args, **kwargs):
+            sizes.append(len(configs))
+            return original(configs, *args, **kwargs)
+
+        monkeypatch.setattr(testbench, "run_hcdro_batch", spy)
+        job = decompose("margins", dict(
+            CHEAP_MARGINS, scales=[0.9, 0.95, 1.0, 1.05, 1.1],
+            write_counts=[2]))
+        assert len({item.group for item in job.items}) == 1
+        values = dispatch_group("hcdro", [i.payload for i in job.items])
+        assert sizes == [2, 2, 1]
+        assert values == [compute_item(item) for item in job.items]
 
 
 class TestFigure14Adapter:
